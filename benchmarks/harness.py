@@ -51,7 +51,7 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 DEFAULT_BENCH_JSON = RESULTS_DIR / "bench.json"
 
 # events/sec of the engine microbenchmark *before* the hot-path overhaul
-# (__slots__, pooled timeouts, lazy cancellation, cache fast path),
+# (__slots__, fused sleeps, lazy cancellation, cache fast path),
 # measured on the reference machine.  The overhaul's acceptance bar is
 # >= 2x this number; `run` records the achieved ratio in bench.json.
 PRE_OVERHAUL_EVENTS_PER_SEC = 51_373
@@ -102,7 +102,6 @@ def _timed_testbed_run(server_cls, seconds: float,
         "sim_ns": testbed.sim.now,
         "events": events,
         "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
-        "pool_recycled": testbed.sim.pool_recycled,
         "fused_resumes": testbed.sim.fused_resumes,
     }
     if testbed.telemetry is not None:
@@ -115,7 +114,7 @@ def bench_engine_micro_tivopc() -> Dict[str, float]:
     """The overhaul's reference workload: Simple server, 5 sim-seconds.
 
     CPU-bound on the host models (copies, cache walks, per-packet
-    syscalls), so it exercises the pooled-timeout fast path, lazy
+    syscalls), so it exercises the fused-sleep fast path, lazy
     cancellation and the cache inner loop together.
     """
     metrics = _timed_testbed_run(SimpleServer, MICRO_SECONDS)
@@ -187,7 +186,6 @@ def bench_retransmit_path() -> Dict[str, float]:
         "sim_ns": testbed.sim.now,
         "events": events,
         "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
-        "pool_recycled": testbed.sim.pool_recycled,
         "retransmits": sum(c.stats().retransmits for c in reliable),
         "dup_dropped": sum(c.stats().dup_dropped for c in reliable),
         "chunks_received": client.chunks_received,
@@ -222,7 +220,6 @@ def bench_migration_downtime() -> Dict[str, float]:
         "sim_ns": sim.now,
         "events": sim.events_processed,
         "events_per_sec": sim.events_processed / wall_s if wall_s else 0.0,
-        "pool_recycled": sim.pool_recycled,
         "downtime_ns": (record.downtime_ns if record is not None
                         and record.downtime_ns is not None else -1),
         "migration_replayed": record.replayed if record else -1,
@@ -234,10 +231,10 @@ def bench_migration_downtime() -> Dict[str, float]:
 
 
 def bench_timeout_storm() -> Dict[str, float]:
-    """Pure event-loop throughput: 64 processes trading pooled timeouts.
+    """Pure event-loop throughput: 64 processes trading fused sleeps.
 
-    No hardware models at all — isolates Event allocation, heap churn
-    and Process resumption, the layers the free list targets.
+    No hardware models at all — isolates queue churn and Process
+    resumption, the layers the fused fast path targets.
     """
     sim = Simulator()
 
@@ -259,7 +256,6 @@ def bench_timeout_storm() -> Dict[str, float]:
         "sim_ns": sim.now,
         "events": sim.events_processed,
         "events_per_sec": rate,
-        "pool_recycled": sim.pool_recycled,
         "fused_resumes": sim.fused_resumes,
         "pre_wheel_events_per_sec": PRE_WHEEL_TIMEOUT_STORM_EVENTS_PER_SEC,
         "speedup_vs_pre_wheel": rate / PRE_WHEEL_TIMEOUT_STORM_EVENTS_PER_SEC,

@@ -11,7 +11,6 @@ the gap widens with message size.
 from conftest import publish
 
 from repro.core import (
-    Buffering,
     ChannelConfig,
     ChannelExecutive,
     DmaChannelProvider,
@@ -33,7 +32,7 @@ class SinkOffcode(Offcode):
     BINDNAME = "bench.Sink"
 
 
-def channel_cpu_cost(buffering: Buffering, size: int) -> float:
+def channel_cpu_cost(config: ChannelConfig, size: int) -> float:
     """Average host CPU ns per message for one (mode, size) point."""
     sim = Simulator()
     machine = Machine(sim)
@@ -46,7 +45,7 @@ def channel_cpu_cost(buffering: Buffering, size: int) -> float:
     sink = SinkOffcode(DeviceSite(nic))
     sink.state = OffcodeState.RUNNING
     channel = executive.create_channel(
-        ChannelConfig(buffering=buffering, ring_slots=256), host)
+        config.with_ring_slots(256), host)
     endpoint = executive.connect_offcode(channel, sink)
     endpoint.install_call_handler(lambda message: None)
 
@@ -62,8 +61,9 @@ def test_bench_ablation_channels(one_shot):
     def sweep():
         rows = []
         for size in SIZES:
-            direct = channel_cpu_cost(Buffering.DIRECT, size)
-            copy = channel_cpu_cost(Buffering.COPY, size)
+            direct = channel_cpu_cost(ChannelConfig.unicast().zero_copy(),
+                                      size)
+            copy = channel_cpu_cost(ChannelConfig.unicast().copied(), size)
             rows.append((size, direct, copy))
         return rows
 

@@ -34,9 +34,7 @@ def test_bench_engine_micro(one_shot):
     # The simulated work is fixed: same events, same final clock.
     assert metrics["events"] == 93_048
     assert metrics["sim_ns"] == 5_000_000_000
-    # The hot sleeps dispatch through the fused bare-int fast path (the
-    # pooled _Deferred handles now serve only value-carrying sleeps, so
-    # pool_recycled no longer measures the hot path).
+    # The hot sleeps dispatch through the fused bare-int fast path.
     assert metrics["fused_resumes"] > 10_000
     # The overhaul's acceptance bar, measured best-of-N to shrug off
     # scheduler noise.  PRE_OVERHAUL_EVENTS_PER_SEC was recorded on the

@@ -31,32 +31,37 @@ Every simulated nanosecond in this repository flows through this loop,
 so the per-event costs are engineered away:
 
 * **The queue is a hierarchical timer wheel**, not a binary heap.  A
-  small *active* heap holds only the entries inside the current
-  granularity window; behind it sit two fixed-slot wheels (L0: 256
-  slots x 256 ns, L1: 256 slots x 65.5 us) and a far-future overflow
-  heap.  Most inserts are an O(1) ``list.append`` plus a bitmap OR;
-  the heap's O(log n) churn is paid only inside a 256 ns window, where
-  n is tiny.  Occupied slots are tracked in an integer bitmap so the
-  refill scan is one ``(occ & -occ).bit_length()``.  ``Simulator(
-  scheduler="heap")`` disables the wheels (every insert goes to the
-  active heap), giving a reference engine for differential tests; both
-  modes pop entries in the identical ``(time, priority, seq)`` order.
+  small *active window* holds only the entries before ``_active_end``
+  as a sorted list consumed by index (a pop is a cursor bump); behind
+  it sit two fixed-slot wheels (L0: 256 slots x 256 ns, L1: 256 slots
+  x 65.5 us) and a far-future overflow heap.  Most inserts are an O(1)
+  ``list.append`` plus one occupancy-byte store; only entries landing
+  inside the current window pay a ``bisect.insort``.  Slot occupancy
+  lives in a ``bytearray`` per wheel, so the refill scan is one
+  C-level ``occ.find(1)``.  ``Simulator(scheduler="heap")`` disables
+  the wheels (the window is unbounded, so every insert is an insort),
+  giving a reference engine for differential tests; both modes pop
+  entries in the identical ``(time, priority, seq)`` order.
 * **The delay->resume pattern is fused.**  ``yield clock.after(dt)``
-  does not build an Event at all: the engine schedules the *process
-  itself* as a queue entry and resumes its generator directly when the
-  entry pops (no callback list, no trigger state machine).  The small
-  :class:`_Deferred` request objects are recycled through a free list
-  (``event_pool_size`` bounds it, ``pool_recycled`` counts reuse).
+  yields the bare integer delay, so no Event is built at all: the
+  engine schedules the *process itself* as a queue entry and resumes
+  its generator directly when the entry pops (no callback list, no
+  trigger state machine).  A process that needs a value back after a
+  sleep yields ``clock.timeout(dt, value)`` instead.
 * **Cancellation is lazy but bounded.**  :meth:`Process.interrupt` and
-  :meth:`Timer.cancel` never scan the active heap; a cancelled wheel
+  :meth:`Timer.cancel` never scan the active window; a cancelled wheel
   entry is removed in place when its slot is reachable (O(slot)) and
   otherwise left to be dropped at pop time.  The ``dead_timers`` gauge
   counts entries awaiting lazy reclamation and :meth:`Simulator.reclaim`
   sweeps them out; it auto-runs when the count passes a threshold.
-* **Observation** — the loop counts processed events
-  (:attr:`Simulator.events_processed`) and exposes a profiler hook
-  (:meth:`Simulator.attach_profiler`) that costs one ``is None`` check
-  per event when disabled.
+* **One dispatch loop.**  :meth:`Simulator.run`,
+  :meth:`Simulator.run_until_event` and :meth:`Simulator.step` all
+  drive the same inlined loop, differing only in its horizon, an
+  optional stop event, and (for ``step``) a one-entry budget.  The
+  loop publishes :attr:`Simulator.events_processed` before each
+  entry's user code runs, so the count reads the same from any entry
+  point.  An attached profiler (:meth:`Simulator.attach_profiler`) is
+  a per-entry hook that costs one ``is None`` check when absent.
 
 Example
 -------
@@ -74,7 +79,6 @@ Example
 
 from __future__ import annotations
 
-import warnings
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -119,6 +123,9 @@ _L0_SPAN = _SLOTS << _L0_SHIFT
 _L1_SPAN = _SLOTS << _L1_SHIFT
 
 _INF = float("inf")
+# The entry budget of an unbounded dispatch: an int, so the per-event
+# budget check stays an int comparison.
+_NO_BUDGET = 1 << 62
 
 # Lazy-cancelled entries trigger a full reclaim() sweep past this count,
 # bounding dead-entry growth without any hot-path bookkeeping.
@@ -225,27 +232,6 @@ class Timeout(Event):
         self._trigger(True, value, delay)
 
 
-class _Deferred:
-    """A value-carrying fused-sleep request from :meth:`Clock.after`.
-
-    Not an event: yielding one tells the engine to schedule the process
-    itself as the queue entry (no Event allocation, no callback list)
-    and resume the generator directly with ``value``.  Plain sleeps
-    (``value=None``) skip even this object: :meth:`Clock.after` returns
-    the bare integer delay and the engine fuses it directly.  Contract:
-    yield it immediately, exactly once; instances are recycled through
-    the simulator's free list after each use, and reusing one raises.
-    To store or combine a sleep (conditions, stores), use
-    :meth:`Clock.timeout` instead.
-    """
-
-    __slots__ = ("delay", "value")
-
-    def __init__(self) -> None:
-        self.delay = -1
-        self.value = None
-
-
 class Timer:
     """A cancellable scheduled call, from ``clock.after/at/every``.
 
@@ -289,8 +275,8 @@ class Timer:
 
         The queue entry is removed in place when it sits in a wheel
         slot (O(slot length)); entries already promoted to the active
-        heap (or parked in the overflow heap) are dropped lazily at pop
-        time and counted in :attr:`Simulator.dead_timers` meanwhile.
+        window (or parked in the overflow heap) are dropped lazily at
+        pop time and counted in :attr:`Simulator.dead_timers` meanwhile.
         """
         if self._cancelled or self.when is None:
             return False
@@ -341,7 +327,7 @@ class Process(Event):
     """
 
     __slots__ = ("name", "_generator", "_waiting_on", "_interrupted",
-                 "_cont_seq", "_cont_value", "_stale_seqs")
+                 "_cont_seq", "_stale_seqs")
 
     def __init__(self, sim: "Simulator",
                  generator: Generator[Event, Any, Any],
@@ -361,7 +347,6 @@ class Process(Event):
         # Seqs of entries abandoned by interrupt() collect in
         # _stale_seqs until the pop (or a reclaim sweep) drops them.
         self._cont_seq = 0
-        self._cont_value: Any = None
         self._stale_seqs: Optional[set] = None
         start = Initialize(sim, delay)
         start.callbacks.append(self._resume)
@@ -393,7 +378,6 @@ class Process(Event):
             # entry is dropped at pop (or swept by reclaim) instead of
             # resuming the process.
             self._cont_seq = 0
-            self._cont_value = None
             stale = self._stale_seqs
             if stale is None:
                 stale = self._stale_seqs = set()
@@ -451,10 +435,7 @@ class Process(Event):
         """Park the process on whatever the generator yielded."""
         cls = target.__class__
         if cls is int:
-            self.sim._fuse_int(self, target)
-            return
-        if cls is _Deferred:
-            self.sim._fuse(self, target)
+            self.sim._schedule_sleep(self, target)
             return
         if not isinstance(target, Event):
             raise ProcessError(
@@ -598,43 +579,29 @@ class Clock:
         """Current simulated time in nanoseconds."""
         return self.sim.now
 
-    def after(self, delay: int, fn: Optional[Callable[[], Any]] = None,
-              *, value: Any = None):
+    def after(self, delay: int, fn: Optional[Callable[[], Any]] = None):
         """Schedule ``delay`` ns from now.
 
         Without ``fn`` this returns a fused-sleep token for a process to
-        yield immediately: the engine schedules the process itself as
-        the queue entry and resumes the generator with ``value`` — no
-        Event is allocated.  For plain sleeps the token *is* the integer
-        delay (hot loops may equivalently ``yield delay_ns`` directly).
-        With ``fn`` it returns a cancellable :class:`Timer` that calls
+        yield: the token *is* the integer delay (hot loops may
+        equivalently ``yield delay_ns`` directly), and the engine
+        schedules the process itself as the queue entry, resuming the
+        generator with ``None`` — no Event is allocated.  Use
+        :meth:`timeout` for a sleep that resumes with a value.  With
+        ``fn`` it returns a cancellable :class:`Timer` that calls
         ``fn()`` at the deadline.
         """
         if fn is None:
-            if value is None:
-                if delay < 0:
-                    raise SchedulingError(f"negative timeout delay: {delay}")
-                return delay
-            sim = self.sim
             if delay < 0:
                 raise SchedulingError(f"negative timeout delay: {delay}")
-            pool = sim._deferred_pool
-            if pool:
-                deferred = pool.pop()
-                sim.pool_recycled += 1
-            else:
-                deferred = _Deferred()
-            deferred.delay = delay
-            deferred.value = value
-            return deferred
+            return delay
         sim = self.sim
         delay = int(delay)
         if delay < 0:
             raise SchedulingError(f"negative timeout delay: {delay}")
         return Timer(sim, fn, None, sim.now + delay)
 
-    def at(self, when: int, fn: Optional[Callable[[], Any]] = None,
-           *, value: Any = None):
+    def at(self, when: int, fn: Optional[Callable[[], Any]] = None):
         """Absolute-time :meth:`after`: schedule at ``when`` ns."""
         when = int(when)
         now = self.sim.now
@@ -642,7 +609,7 @@ class Clock:
             raise SchedulingError(
                 f"clock.at({when}) is in the past (now={now})")
         if fn is None:
-            return self.after(when - now, value=value)
+            return self.after(when - now)
         return Timer(self.sim, fn, None, when)
 
     def every(self, period: int, fn: Callable[[], Any],
@@ -684,24 +651,13 @@ class Clock:
 class Simulator:
     """The discrete-event engine: a clock plus an ordered event queue.
 
-    ``event_pool_size`` bounds the free list of recycled fused-sleep
-    handles (see :meth:`Clock.after`); 0 disables pooling entirely,
-    which the determinism tests use to prove pooling never changes a
-    run.  ``scheduler`` selects the queue implementation: ``"wheel"``
-    (default, hierarchical timer wheel) or ``"heap"`` (single binary
-    heap, the differential-test reference).  Both produce the identical
-    ``(time, priority, seq)`` pop order.
+    ``scheduler`` selects the queue implementation: ``"wheel"``
+    (default, hierarchical timer wheel) or ``"heap"`` (one unbounded
+    sorted window, the differential-test reference).  Both produce the
+    identical ``(time, priority, seq)`` pop order.
     """
 
-    DEFAULT_POOL_SIZE = 256
-
-    # One-shot deprecation latches (class-level: warn once per run, not
-    # once per simulator).
-    _delay_warned = False
-    _schedule_warned = False
-
-    def __init__(self, event_pool_size: Optional[int] = None,
-                 scheduler: str = "wheel") -> None:
+    def __init__(self, scheduler: str = "wheel") -> None:
         if scheduler not in ("wheel", "heap"):
             raise ValueError(f"unknown scheduler {scheduler!r}; "
                              "expected 'wheel' or 'heap'")
@@ -739,13 +695,8 @@ class Simulator:
         self.telemetry = None
         # Optional hot-loop profiler (see repro.sim.profile.SimProfiler).
         self._profiler = None
-        # Free list of recycled fused-sleep handles (_Deferred).
-        self._pool_limit = (self.DEFAULT_POOL_SIZE if event_pool_size is None
-                            else max(0, event_pool_size))
-        self._deferred_pool: List[_Deferred] = []
         # Observability counters (cheap ints, always on).
         self.events_processed = 0
-        self.pool_recycled = 0     # fused-sleep handles served from the pool
         self.fused_resumes = 0     # events dispatched via the fused fast path
         self.dead_timers = 0       # cancelled entries awaiting lazy removal
 
@@ -758,26 +709,6 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` ns from now."""
         return Timeout(self, int(delay), value)
-
-    def delay(self, delay: int, value: Any = None) -> _Deferred:
-        """Deprecated: use ``sim.clock.after(delay, value=value)``."""
-        if not Simulator._delay_warned:
-            Simulator._delay_warned = True
-            warnings.warn(
-                "Simulator.delay() is deprecated; use "
-                "sim.clock.after(delay, value=...) instead",
-                DeprecationWarning, stacklevel=2)
-        return self.clock.after(delay, value=value)
-
-    def schedule(self, fn: Callable[[], Any], delay: int = 0) -> Timer:
-        """Deprecated: use ``sim.clock.after(delay, fn)``."""
-        if not Simulator._schedule_warned:
-            Simulator._schedule_warned = True
-            warnings.warn(
-                "Simulator.schedule() is deprecated; use "
-                "sim.clock.after(delay, fn) instead",
-                DeprecationWarning, stacklevel=2)
-        return self.clock.after(delay, fn)
 
     def spawn(self, generator: Generator[Event, Any, Any],
               name: Optional[str] = None, delay: int = 0) -> Process:
@@ -795,7 +726,11 @@ class Simulator:
     # -- profiling -------------------------------------------------------
 
     def attach_profiler(self, profiler) -> None:
-        """Install a :class:`repro.sim.profile.SimProfiler` on the loop."""
+        """Install a :class:`repro.sim.profile.SimProfiler` on the loop.
+
+        The loop reads the profiler when it starts, so attaching or
+        detaching takes effect at the next ``run``/``step`` call.
+        """
         self._profiler = profiler
 
     def detach_profiler(self) -> None:
@@ -805,7 +740,7 @@ class Simulator:
     # -- queue: inserts ----------------------------------------------------
 
     def _insert(self, when: int, priority: int, obj: Any) -> int:
-        """Route one entry to the active heap or the wheels.  Returns seq."""
+        """Route one entry to the active window or the wheels.  Returns seq."""
         self._seq = seq = self._seq + 1
         entry = (when, priority, seq, obj)
         if when < self._active_end:
@@ -840,27 +775,11 @@ class Simulator:
             raise SchedulingError(f"cannot schedule {delay} ns in the past")
         self._insert(self.now + delay, priority, event)
 
-    def _fuse_int(self, process: Process, delay: int) -> None:
-        """Schedule ``process`` itself for a plain fused sleep."""
+    def _schedule_sleep(self, process: Process, delay: int) -> None:
+        """Schedule ``process`` itself for a fused sleep."""
         if delay < 0:
             raise SchedulingError(f"negative timeout delay: {delay}")
         process._cont_seq = self._insert(self.now + delay, NORMAL, process)
-
-    def _fuse(self, process: Process, deferred: _Deferred) -> None:
-        """Schedule ``process`` itself for a value-carrying fused sleep."""
-        delay = deferred.delay
-        if delay < 0:
-            raise ProcessError(
-                "clock.after() handle reused: yield each handle exactly "
-                "once, immediately (use clock.timeout() to store sleeps)")
-        seq = self._insert(self.now + delay, NORMAL, process)
-        process._cont_seq = seq
-        process._cont_value = deferred.value
-        deferred.delay = -1
-        deferred.value = None
-        pool = self._deferred_pool
-        if len(pool) < self._pool_limit:
-            pool.append(deferred)
 
     # -- queue: removal / maintenance --------------------------------------
 
@@ -868,8 +787,8 @@ class Simulator:
         """Try to remove entry ``(when, NORMAL, seq, obj)`` in place.
 
         Only wheel slots allow cheap removal (an O(slot-length) list
-        scan); entries in the active or overflow heaps return False and
-        are dropped lazily at pop time.
+        scan); entries in the active window or the overflow heap return
+        False and are dropped lazily at pop time.
         """
         if when < self._active_end:
             return False
@@ -944,13 +863,13 @@ class Simulator:
     # -- queue: refill ------------------------------------------------------
 
     def _refill(self, horizon) -> bool:
-        """Feed the empty active heap from the wheels/overflow.
+        """Feed the drained active window from the wheels/overflow.
 
-        Moves the earliest pending slot into the active heap and
-        advances the window, cascading L1 -> L0 and overflow -> L1 as
-        needed.  Returns False (windows untouched at the decision
-        point) when the earliest pending entry lies beyond ``horizon``
-        or nothing is pending.  Precondition: the active heap is empty.
+        Moves the earliest pending slot into the active window and
+        advances it, cascading L1 -> L0 and overflow -> L1 as needed.
+        Returns False (windows untouched at the decision point) when
+        the earliest pending entry lies beyond ``horizon`` or nothing is
+        pending.  Precondition: the active window is drained.
         """
         active = self._active
         if active:
@@ -1054,67 +973,10 @@ class Simulator:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _resume_cont(self, process: Process) -> None:
-        """Resume a fused-sleep continuation (non-inlined path: step(),
-        profiler).  Keep in lockstep with the run() fast path.
-        """
-        self.fused_resumes += 1
-        value = process._cont_value
-        process._cont_value = None
-        process._cont_seq = 0
-        self._active_process = process
-        try:
-            target = process._generator.send(value)
-        except StopIteration as stop:
-            self._active_process = None
-            process._trigger(True, stop.value, 0)
-            return
-        except BaseException as exc:
-            self._active_process = None
-            process._trigger(False, exc, 0)
-            return
-        self._active_process = None
-        process._bind(target)
-
     def step(self) -> None:
-        """Process exactly one event."""
-        active = self._active
-        pos = self._active_pos
-        if pos >= len(active):
-            if not self._refill(_INF):
-                raise SchedulingError("step() on an empty event queue")
-            pos = 0
-        elif pos >= 4096:
-            # Shed the consumed prefix so flat-mode runs stay bounded.
-            del active[:pos]
-            pos = 0
-        when, _prio, seq, obj = active[pos]
-        self._active_pos = pos + 1
-        if when < self.now:
-            raise SchedulingError("event queue corrupted: time went backwards")
-        self.now = when
-        self.events_processed += 1
-        profiler = self._profiler
-        if obj._cont_seq == seq:
-            # A fused sleep: the entry is the process itself.
-            if profiler is None:
-                self._resume_cont(obj)
-            else:
-                profiler.observe_cont(obj)
-            return
-        stale = obj._stale_seqs
-        if stale is not None and seq in stale:
-            # Lazily-cancelled entry (interrupted fused sleep).
-            stale.discard(seq)
-            self.dead_timers -= 1
-            return
-        if profiler is None:
-            obj._process()
-        else:
-            profiler.observe(obj)
-        if obj._ok is False and not obj.defused and not obj.callbacks:
-            # A failure nobody waited on must not pass silently.
-            raise obj._value
+        """Process exactly one queue entry."""
+        if not self._dispatch(_INF, once=True):
+            raise SchedulingError("step() on an empty event queue")
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains, or until simulated time ``until``.
@@ -1125,26 +987,55 @@ class Simulator:
         if until is not None and until < self.now:
             raise SchedulingError(
                 f"run(until={until}) is in the past (now={self.now})")
-        if self._profiler is not None:
-            self._run_profiled(until)
-            return
+        self._dispatch(_INF if until is None else until)
+        if until is not None and self.now < until:
+            self.now = until
+
+    def run_until_event(self, event: Event, limit: Optional[int] = None) -> Any:
+        """Run until ``event`` is processed; return its value.
+
+        Raises the event's exception on failure, or :class:`ProcessError`
+        if the queue drains (or the next entry lies past ``limit``)
+        first.  Unlike :meth:`run`, the clock stays at the last
+        processed entry.
+        """
+        if not event.processed:
+            self._dispatch(_INF if limit is None else limit, event)
+            if not event.processed:
+                if self.peek() is None:
+                    raise ProcessError(
+                        "simulation deadlocked waiting for event")
+                raise ProcessError(
+                    f"event not processed by t={limit} (now={self.now})")
+        if event._ok:
+            return event._value
+        raise event._value
+
+    def _dispatch(self, horizon, stop: Optional[Event] = None,
+                  once: bool = False) -> bool:
+        """The dispatch loop behind :meth:`run`, :meth:`run_until_event`
+        and :meth:`step`.
+
+        Pops entries in ``(time, priority, seq)`` order until the queue
+        drains, the next entry lies past ``horizon``, ``stop`` has been
+        processed, or (with ``once``) one entry has been.  Returns True
+        if it processed any entry.
+        """
         # The dispatch bodies are inlined here: at ~100 ns of call
         # overhead per event, indirection would cost ~20 % of a typical
-        # run.  Keep this loop in lockstep with step()/_resume_cont().
-        # Wheel-window state is cached in locals; it only changes inside
-        # _refill(), so the caches are refreshed each outer iteration.
-        # (The occupancy bytearray, slot lists and active list are
-        # mutated in place, never rebound, so those references stay
-        # valid throughout.)
-        horizon = _INF if until is None else until
+        # run.  Wheel-window state is cached in locals; it only changes
+        # inside _refill(), so the caches are refreshed each outer
+        # iteration.  (The occupancy bytearray, slot lists and active
+        # list are mutated in place, never rebound, so those references
+        # stay valid throughout.)
         active = self._active
-        dpool = self._deferred_pool
-        pool_limit = self._pool_limit
         # sim._active_process only matters to telemetry span attribution;
         # skip the per-event stores when no hub is attached.
         telem = self.telemetry is not None
+        profiler = self._profiler
         now = self.now
-        processed = 0
+        processed = first = self.events_processed
+        last = processed + 1 if once else _NO_BUDGET
         fused = 0
         ai = self._active_pos
         try:
@@ -1154,7 +1045,7 @@ class Simulator:
                 l0_occ = self._l0_occ
                 l0_base = self._l0_base
                 l0_end = self._l0_end
-                while True:
+                while processed < last:
                     try:
                         entry = active[ai]
                     except IndexError:
@@ -1169,37 +1060,36 @@ class Simulator:
                         del active[:ai]
                         ai = 0
                     # Published before any user code runs: _insert needs
-                    # the cursor as its insort lower bound, and step()/
-                    # peek() may be called re-entrantly.
+                    # the cursor as its insort lower bound, peek() may be
+                    # called re-entrantly, and user code may read the
+                    # event count.
                     self._active_pos = ai
                     obj = entry[3]
                     if when < now:
                         raise SchedulingError(
                             "event queue corrupted: time went backwards")
                     self.now = now = when
-                    processed += 1
+                    self.events_processed = processed = processed + 1
                     seq = entry[2]
+                    if profiler is not None:
+                        profiler.observe(obj, seq)
                     if obj._cont_seq == seq:
                         # Fused sleep: resume the generator directly, and
                         # if it immediately sleeps again, fuse again
                         # without leaving the loop.
                         fused += 1
-                        value = obj._cont_value
-                        if value is not None:
-                            obj._cont_value = None
                         obj._cont_seq = 0
                         if telem:
                             self._active_process = obj
                         try:
-                            target = obj._generator.send(value)
-                        except StopIteration as stop:
-                            obj._trigger(True, stop.value, 0)
+                            target = obj._generator.send(None)
+                        except StopIteration as stop_iteration:
+                            obj._trigger(True, stop_iteration.value, 0)
                             continue
                         except BaseException as exc:
                             obj._trigger(False, exc, 0)
                             continue
-                        tcls = target.__class__
-                        if tcls is int:
+                        if target.__class__ is int:
                             # Plain sleep token (clock.after fast path).
                             if target < 0:
                                 raise SchedulingError(
@@ -1216,26 +1106,6 @@ class Simulator:
                             else:
                                 self._wheel_insert(
                                     when2, (when2, NORMAL, seq2, obj))
-                        elif tcls is _Deferred:
-                            delay = target.delay
-                            if delay < 0:
-                                raise ProcessError(
-                                    "clock.after() handle reused: yield "
-                                    "each handle exactly once, immediately "
-                                    "(use clock.timeout() to store sleeps)")
-                            when2 = when + delay
-                            self._seq = seq2 = self._seq + 1
-                            obj._cont_seq = seq2
-                            obj._cont_value = target.value
-                            target.delay = -1
-                            target.value = None
-                            if len(dpool) < pool_limit:
-                                dpool.append(target)
-                            if when2 < active_end:
-                                insort(active, (when2, NORMAL, seq2, obj), ai)
-                            else:
-                                self._wheel_insert(
-                                    when2, (when2, NORMAL, seq2, obj))
                         else:
                             obj._bind(target)
                         continue
@@ -1245,87 +1115,24 @@ class Simulator:
                         stale.discard(seq)
                         self.dead_timers -= 1
                         continue
+                    # Every Event (a finishing Process included) becomes
+                    # processed here and only here, so this is the one
+                    # place the stop event needs checking.
                     obj._process()
                     if obj._ok is False and not obj.defused and not obj.callbacks:
                         # A failure nobody waited on must not pass silently.
                         raise obj._value
-                self._active_pos = ai
-                if ai < len(active):
-                    break     # next runnable entry lies beyond the horizon
+                    if obj is stop:
+                        last = processed
+                if processed >= last or ai < len(active):
+                    break     # stopped, or the next entry lies past horizon
                 if not self._refill(horizon):
                     break
                 ai = 0        # _refill rebuilt the window and reset the cursor
         finally:
-            self.events_processed += processed
             self.fused_resumes += fused
             if telem:
                 self._active_process = None
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_profiled(self, until: Optional[int]) -> None:
-        """The run loop with a profiler attached: per-event dispatch goes
-        through :meth:`SimProfiler.observe` / ``observe_cont`` so wall
-        time is attributed.  Keep semantics in lockstep with run().
-        """
-        horizon = _INF if until is None else until
-        active = self._active
-        while True:
-            pos = self._active_pos
-            if pos >= len(active):
-                if not self._refill(horizon):
-                    break
-                continue
-            entry = active[pos]
-            when = entry[0]
-            if when > horizon:
-                break
-            if pos >= 4096:
-                del active[:pos]
-                pos = 0
-            self._active_pos = pos + 1
-            if when < self.now:
-                raise SchedulingError(
-                    "event queue corrupted: time went backwards")
-            self.now = when
-            self.events_processed += 1
-            seq = entry[2]
-            obj = entry[3]
-            profiler = self._profiler   # may detach mid-run
-            if obj._cont_seq == seq:
-                if profiler is None:
-                    self._resume_cont(obj)
-                else:
-                    profiler.observe_cont(obj)
-                continue
-            stale = obj._stale_seqs
-            if stale is not None and seq in stale:
-                stale.discard(seq)
-                self.dead_timers -= 1
-                continue
-            if profiler is None:
-                obj._process()
-            else:
-                profiler.observe(obj)
-            if obj._ok is False and not obj.defused and not obj.callbacks:
-                raise obj._value
-        if until is not None and self.now < until:
-            self.now = until
-
-    def run_until_event(self, event: Event, limit: Optional[int] = None) -> Any:
-        """Run until ``event`` is processed; return its value.
-
-        Raises the event's exception on failure, or :class:`ProcessError`
-        if the queue drains (or ``limit`` passes) first.
-        """
-        while not event.processed:
-            upcoming = self.peek()
-            if upcoming is None:
-                raise ProcessError("simulation deadlocked waiting for event")
-            if limit is not None and upcoming > limit:
-                raise ProcessError(
-                    f"event not processed by t={limit} (now={self.now})")
-            self.step()
-        if event._ok:
-            return event._value
-        raise event._value
+            if profiler is not None:
+                profiler.observe(None)
+        return processed > first

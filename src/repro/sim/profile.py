@@ -8,13 +8,15 @@ wakes, or the event's class when no process is waiting — it accumulates:
 * **event counts** — how many loop iterations the category consumed;
 * **simulated-time attribution** — how far the clock advanced to reach
   each of the category's events (who "owns" simulated time);
-* **wall-time hotspots** — real seconds spent inside the callbacks the
-  category triggered (who "owns" your CPU while simulating).
+* **wall-time hotspots** — real seconds from one of the category's
+  entries being popped to the next entry being popped (who "owns" your
+  CPU while simulating: the callbacks or process resumption the entry
+  triggered, plus the loop's own cost for it).
 
 When no profiler is attached the loop pays exactly one ``is None`` check
 per event, so the hook is free in production runs.  While attached, the
-profiler *replaces* the loop's dispatch: :meth:`SimProfiler.observe`
-runs the event's callbacks itself, bracketed by wall-clock reads.
+loop calls :meth:`SimProfiler.observe` with each entry before
+dispatching it, and once more when it stops.
 
 >>> from repro.sim import Simulator, SimProfiler
 >>> sim = Simulator()
@@ -48,7 +50,7 @@ class CategoryStats:
 
     def __init__(self) -> None:
         self.events = 0        # loop iterations
-        self.wall_s = 0.0      # real seconds inside callbacks
+        self.wall_s = 0.0      # real seconds dispatching its entries
         self.sim_ns = 0        # simulated ns the clock advanced to get here
 
     def as_dict(self) -> Dict[str, float]:
@@ -65,75 +67,66 @@ class SimProfiler:
         self.categories: Dict[str, CategoryStats] = {}
         self.total = CategoryStats()
         self._last_now = sim.now
+        # The category of the entry being dispatched, and when it began.
+        self._open: Optional[CategoryStats] = None
+        self._opened_at = 0.0
         self._attach_wall: Optional[float] = None
         self.wall_elapsed_s = 0.0
 
-    # -- loop hook (called by Simulator.step) -----------------------------
+    # -- loop hook (called by the Simulator's dispatch loop) ---------------
 
-    def observe(self, event) -> None:
-        """Dispatch ``event`` and charge it to its category.
+    def observe(self, obj, seq: int = 0) -> None:
+        """Charge one popped queue entry to its category.
 
-        Called by the main loop *in place of* ``event._process()``; the
-        event's callbacks run inside the wall-clock bracket so the
-        hotspot numbers include process resumption and everything the
-        resumed generator does before its next yield.
+        The loop calls this with each entry ``obj`` (and its queue
+        ``seq``) after advancing the clock and before dispatching it,
+        and with ``obj=None`` when it stops.  The wall time since the
+        previous call is charged to the previous entry's category.
         """
-        sim = self.sim
-        advanced = sim.now - self._last_now
-        self._last_now = sim.now
-        label = self._label(event)
-        start = perf_counter()
-        event._process()
-        elapsed = perf_counter() - start
+        wall = perf_counter()
+        stats = self._open
+        if stats is not None:
+            elapsed = wall - self._opened_at
+            stats.wall_s += elapsed
+            self.total.wall_s += elapsed
+        if obj is None:
+            self._open = None
+            return
+        now = self.sim.now
+        advanced = now - self._last_now
+        self._last_now = now
+        label = self._label(obj, seq)
         stats = self.categories.get(label)
         if stats is None:
             stats = self.categories[label] = CategoryStats()
         stats.events += 1
-        stats.wall_s += elapsed
         stats.sim_ns += advanced
         total = self.total
         total.events += 1
-        total.wall_s += elapsed
         total.sim_ns += advanced
-
-    def observe_cont(self, process) -> None:
-        """Dispatch a fused-sleep continuation and charge its process.
-
-        Called by the main loop *in place of* the inlined generator
-        resume when a fused ``clock.after`` entry pops.
-        """
-        sim = self.sim
-        advanced = sim.now - self._last_now
-        self._last_now = sim.now
-        label = _INSTANCE_SUFFIX.sub("-N", process.name)
-        start = perf_counter()
-        sim._resume_cont(process)
-        elapsed = perf_counter() - start
-        stats = self.categories.get(label)
-        if stats is None:
-            stats = self.categories[label] = CategoryStats()
-        stats.events += 1
-        stats.wall_s += elapsed
-        stats.sim_ns += advanced
-        total = self.total
-        total.events += 1
-        total.wall_s += elapsed
-        total.sim_ns += advanced
+        self._open = stats
+        self._opened_at = perf_counter()
 
     @staticmethod
-    def _label(event) -> str:
-        """Category for an event: waiting process's name, else event class."""
-        if isinstance(event, Timer):
-            fn = event.fn
+    def _label(obj, seq: int) -> str:
+        """Category for an entry: the process it resumes, else the
+        timer's function, else the waiting process, else the class."""
+        if isinstance(obj, Timer):
+            fn = obj.fn
             name = getattr(fn, "__qualname__", None) or getattr(
                 fn, "__name__", "fn")
             return f"timer:{_INSTANCE_SUFFIX.sub('-N', name)}"
-        callbacks = event.callbacks
+        stale = obj._stale_seqs
+        if obj._cont_seq == seq or (stale is not None and seq in stale):
+            # A fused sleep (or one abandoned by an interrupt): the
+            # entry is the process itself.
+            return _INSTANCE_SUFFIX.sub("-N", obj.name)
+        callbacks = obj.callbacks
         if callbacks:
             owner = getattr(callbacks[0], "__self__", None)
             if isinstance(owner, Process):
                 return _INSTANCE_SUFFIX.sub("-N", owner.name)
-        return type(event).__name__
+        return type(obj).__name__
 
     # -- lifecycle helpers -------------------------------------------------
 
@@ -170,7 +163,7 @@ class SimProfiler:
         total = self.total
         lines = [
             f"simulator profile: {total.events} events, "
-            f"{total.wall_s * 1e3:.1f} ms in callbacks, "
+            f"{total.wall_s * 1e3:.1f} ms dispatching, "
             f"{total.sim_ns / 1e6:.1f} ms simulated",
             f"{'category':32s} {'events':>8s} {'ev%':>6s} "
             f"{'wall ms':>9s} {'wall%':>6s} {'sim ms':>9s} {'sim%':>6s}",

@@ -1,4 +1,4 @@
-"""The repro.api facade and backward compatibility of deprecated APIs."""
+"""The repro.api facade, the deploy entry point and ChannelConfig."""
 
 import ast
 import pathlib
@@ -18,7 +18,7 @@ from repro.core.interfaces import InterfaceSpec, MethodSpec
 from repro.core.odf import DeviceClassFilter, OdfDocument
 from repro.core.offcode import Offcode
 from repro.core.runtime import DeploymentSpec, HydraRuntime
-from repro.errors import DeploymentError
+from repro.errors import ChannelError, DeploymentError
 from repro.hw import DeviceClass, Machine
 from repro.sim import Simulator
 
@@ -79,7 +79,7 @@ def test_deployment_spec_requires_a_path():
         DeploymentSpec(odf_paths=())
 
 
-# -- deprecated entry points ---------------------------------------------------------
+# -- the deploy entry point ----------------------------------------------------------
 
 ICHECK = InterfaceSpec.from_methods(
     "ICheck", (MethodSpec("Compute", params=(("size", "int"),),
@@ -109,19 +109,15 @@ def _runtime_with_odf():
     return sim, runtime
 
 
-def test_create_offcode_still_works_but_warns():
+def test_runtime_deploy_does_not_warn():
     sim, runtime = _runtime_with_odf()
     results = {}
 
     def app():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = yield from runtime.create_offcode(
-                "/offcodes/check.odf")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "create_offcode" in str(deprecations[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = yield from runtime.deploy(
+                DeploymentSpec(odf_paths=("/offcodes/check.odf",)))
         results["location"] = result.location
         results["value"] = yield from result.proxy.Compute(4096)
 
@@ -130,46 +126,7 @@ def test_create_offcode_still_works_but_warns():
     assert results["value"] == 4096
 
 
-def test_deploy_joint_still_works_but_warns():
-    sim, runtime = _runtime_with_odf()
-
-    def app():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            yield from runtime.deploy_joint(["/offcodes/check.odf"])
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "deploy_joint" in str(deprecations[0].message)
-
-    sim.run_until_event(sim.spawn(app()))
-    assert runtime.get_offcode("compat.Check").location == "nic0"
-
-
-def test_runtime_deploy_does_not_warn():
-    sim, runtime = _runtime_with_odf()
-
-    def app():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            yield from runtime.deploy(
-                DeploymentSpec(odf_paths=("/offcodes/check.odf",)))
-
-    sim.run_until_event(sim.spawn(app()))
-
-
-# -- the ChannelConfig deprecation shim ----------------------------------------------
-
-def test_raw_enum_kwargs_warn_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = ChannelConfig(kind=ChannelKind.MULTICAST)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "kind" in str(deprecations[0].message)
-    assert config.kind is ChannelKind.MULTICAST
-
+# -- ChannelConfig -------------------------------------------------------------------
 
 def test_raw_defaults_do_not_warn():
     with warnings.catch_warnings():
@@ -187,6 +144,13 @@ def test_builder_does_not_warn():
     assert config.reliability is Reliability.RELIABLE
     assert config.buffering is Buffering.DIRECT
     assert config.batch is not None and config.batch.max_calls == 8
+
+
+def test_ring_slots_validated_on_every_construction_path():
+    with pytest.raises(ChannelError):
+        ChannelConfig(ring_slots=0)
+    with pytest.raises(ChannelError):
+        ChannelConfig.unicast().with_ring_slots(-1)
 
 
 def test_unbatched_clears_the_watermarks():

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ChannelClosedError, ChannelError, ProviderError
-from repro.core.channel import (
-    Buffering,
-    ChannelConfig,
-    ChannelKind,
-    Reliability,
-    SyncMode,
-)
+from repro.core.channel import ChannelConfig
 from repro.core.executive import ChannelExecutive
 from repro.core.interfaces import InterfaceSpec, MethodSpec
 from repro.core.memory import MemoryManager
@@ -96,8 +90,8 @@ def test_no_provider_raises(world):
 
 
 def test_cost_metric_prefers_zero_copy(world):
-    direct = ChannelConfig(buffering=Buffering.DIRECT)
-    copying = ChannelConfig(buffering=Buffering.COPY)
+    direct = ChannelConfig.unicast().zero_copy()
+    copying = ChannelConfig.unicast().copied()
     provider = world.executive.select_provider(
         world.host_site, world.nic_site, direct)
     cost_direct = provider.cost(world.host_site, world.nic_site, direct)
@@ -216,7 +210,7 @@ def test_call_handler_invoked_on_delivery(world):
 
 def test_unreliable_channel_drops_when_full(world):
     offcode = world.running_offcode(EchoOffcode, world.nic_site)
-    config = ChannelConfig(reliability=Reliability.UNRELIABLE, ring_slots=2)
+    config = ChannelConfig.unicast().unreliable().with_ring_slots(2)
     channel = world.executive.create_channel(config, world.host_site)
     world.executive.connect_offcode(channel, offcode)
 
@@ -232,7 +226,7 @@ def test_unreliable_channel_drops_when_full(world):
 def test_sequential_sync_is_fifo(world):
     offcode = world.running_offcode(EchoOffcode, world.nic_site)
     channel = world.executive.create_channel(
-        ChannelConfig(sync=SyncMode.SEQUENTIAL), world.host_site)
+        ChannelConfig.unicast().sequential(), world.host_site)
     endpoint = world.executive.connect_offcode(channel, offcode)
     received = []
     endpoint.install_call_handler(
@@ -258,7 +252,7 @@ def test_multicast_device_to_devices_single_bus_transaction(world):
     gpu_oc = world.running_offcode(EchoOffcode, world.gpu_site)
     disk_oc = world.running_offcode(EchoOffcode, disk_site)
 
-    config = ChannelConfig(kind=ChannelKind.MULTICAST)
+    config = ChannelConfig.multicast()
     channel = world.executive.create_channel(config, world.nic_site)
     got = []
     for offcode in (gpu_oc, disk_oc):
@@ -295,12 +289,11 @@ def test_zero_copy_channel_leaves_host_cpu_alone(world):
 
 def test_copy_channel_charges_host_cpu_more_than_direct(world):
     costs = {}
-    for label, buffering in (("direct", Buffering.DIRECT),
-                             ("copy", Buffering.COPY)):
+    for label, config in (("direct", ChannelConfig.unicast().zero_copy()),
+                          ("copy", ChannelConfig.unicast().copied())):
         w = World()
         offcode = w.running_offcode(EchoOffcode, w.nic_site)
-        channel = w.executive.create_channel(
-            ChannelConfig(buffering=buffering), w.host_site)
+        channel = w.executive.create_channel(config, w.host_site)
         endpoint = w.executive.connect_offcode(channel, offcode)
         endpoint.install_call_handler(lambda message: None)
 

@@ -10,18 +10,15 @@ import pytest
 
 from repro.errors import ChannelClosedError, ChannelError, HydraError
 from repro.core import (
-    Buffering,
     CallPolicy,
     ChannelConfig,
-    ChannelKind,
     CorruptedPayload,
+    DeploymentSpec,
     HydraRuntime,
     InterfaceSpec,
     MethodSpec,
     Offcode,
-    Reliability,
     RetryBudgetExceededError,
-    SyncMode,
     WatchdogConfig,
 )
 from repro.core.odf import DeviceClassFilter, OdfDocument, OdfImport
@@ -90,7 +87,8 @@ def deploy(sim, runtime, path="/worker.odf"):
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode(path)
+        out["result"] = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=(path,)))
 
     sim.run_until_event(sim.spawn(app()))
     return out["result"]
@@ -304,11 +302,8 @@ def test_proxy_retry_succeeds_within_budget(world):
 
 def test_channel_noise_filter_and_stats(world):
     sim, machine, runtime = world
-    config = ChannelConfig(kind=ChannelKind.UNICAST,
-                           reliability=Reliability.UNRELIABLE,
-                           sync=SyncMode.NONE,
-                           buffering=Buffering.COPY,
-                           label="noisy")
+    config = (ChannelConfig.unicast().unreliable().unordered().copied()
+              .labeled("noisy"))
     channel = runtime.executive.create_channel(config, runtime.host_site)
     device_ep = runtime.executive.connect_site(
         channel, runtime.device_runtime("nic0").site)

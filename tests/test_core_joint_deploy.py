@@ -8,7 +8,13 @@ to the host.  Deployed jointly, the single ILP solve satisfies both.
 
 import pytest
 
-from repro.core import HydraRuntime, InterfaceSpec, MethodSpec, Offcode
+from repro.core import (
+    DeploymentSpec,
+    HydraRuntime,
+    InterfaceSpec,
+    MethodSpec,
+    Offcode,
+)
 from repro.core.guid import Guid
 from repro.core.layout.constraints import ConstraintType
 from repro.core.odf import DeviceClassFilter, OdfDocument, OdfImport
@@ -90,9 +96,10 @@ def test_sequential_deployment_pins_shared_badly():
     out = {}
 
     def app():
-        yield from runtime.create_offcode("/app-a.odf")
+        yield from runtime.deploy(DeploymentSpec(odf_paths=("/app-a.odf",)))
         out["shared_at"] = runtime.get_offcode("joint.Shared").location
-        result = yield from runtime.create_offcode("/app-b.odf")
+        result = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/app-b.odf",)))
         out["b_report"] = result.report
 
     sim.run_until_event(sim.spawn(app()))
@@ -113,8 +120,9 @@ def test_joint_deployment_satisfies_both_apps():
     out = {}
 
     def app():
-        out["report"] = yield from runtime.deploy_joint(
-            ["/app-a.odf", "/app-b.odf"])
+        result = yield from runtime.deploy(DeploymentSpec(
+            odf_paths=("/app-a.odf", "/app-b.odf"), proxy=False))
+        out["report"] = result.report
 
     sim.run_until_event(sim.spawn(app()))
     report = out["report"]
@@ -135,10 +143,11 @@ def test_joint_deployment_with_overlap_reuses():
     out = {}
 
     def app():
-        yield from runtime.create_offcode("/shared.odf")
+        yield from runtime.deploy(DeploymentSpec(odf_paths=("/shared.odf",)))
         out["first"] = runtime.get_offcode("joint.Shared")
-        out["report"] = yield from runtime.deploy_joint(
-            ["/app-a.odf"])
+        result = yield from runtime.deploy(DeploymentSpec(
+            odf_paths=("/app-a.odf",), proxy=False))
+        out["report"] = result.report
 
     sim.run_until_event(sim.spawn(app()))
     assert "joint.Shared" in out["report"].reused
@@ -150,7 +159,7 @@ def test_deploy_many_requires_paths():
     from repro.errors import DeploymentError
 
     def app():
-        yield from runtime.deploy_joint([])
+        yield from runtime.deploy(DeploymentSpec(odf_paths=(), proxy=False))
 
     sim.spawn(app())
     with pytest.raises(DeploymentError):

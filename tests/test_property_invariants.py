@@ -9,10 +9,7 @@ layout relaxation lattice is monotone.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.channel import (
-    ChannelConfig,
-    Reliability,
-)
+from repro.core.channel import ChannelConfig
 from repro.core.executive import ChannelExecutive
 from repro.core.offcode import Offcode, OffcodeState
 from repro.core.providers import DmaChannelProvider, LoopbackProvider
@@ -105,10 +102,8 @@ def test_property_channel_conserves_messages(sizes, reliable):
         DmaChannelProvider(machine, nic, MemoryManager(machine)))
     sink = SinkOffcode(DeviceSite(nic))
     sink.state = OffcodeState.RUNNING
-    config = ChannelConfig(
-        reliability=(Reliability.RELIABLE if reliable
-                     else Reliability.UNRELIABLE),
-        ring_slots=8)
+    config = ChannelConfig.unicast().with_ring_slots(8)
+    config = config.reliable() if reliable else config.unreliable()
     channel = executive.create_channel(config, HostSite(machine))
     endpoint = executive.connect_offcode(channel, sink)
     received = []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeviceFailedError, HydraError, ProviderError, RdmaError
-from repro.core.channel import Buffering, ChannelConfig
+from repro.core.channel import ChannelConfig
 from repro.core.executive import ChannelExecutive
 from repro.core.memory import MemoryManager
 from repro.core.providers import DmaChannelProvider, LoopbackProvider
@@ -202,7 +202,7 @@ def test_dead_region_owner_fails_without_wire_traffic(world):
 
 def test_rdma_cost_beats_descriptor_ring(world):
     dma = DmaChannelProvider(world.machine, world.nic, world.memory)
-    config = ChannelConfig(buffering=Buffering.DIRECT)
+    config = ChannelConfig.unicast().zero_copy()
     rdma_cost = world.provider.cost(world.host_site, world.nic_site, config)
     dma_cost = dma.cost(world.host_site, world.nic_site, config)
     assert rdma_cost.score(1024) < dma_cost.score(1024)

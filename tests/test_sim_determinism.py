@@ -1,12 +1,11 @@
 """Determinism guarantees of the hot-path overhaul.
 
-The pooled-timeout free list, lazy cancellation and the inlined run
-loop are pure *mechanical* optimizations: they must never change what a
-seeded run computes.  These tests pin that property by diffing whole
-trace buffers and counters between a default simulator and one with
-pooling disabled (``Simulator(event_pool_size=0)``), and by exercising
-the lazy-cancellation path that replaced ``interrupt()``'s O(n)
-callback scans.
+Lazy cancellation and the inlined dispatch loop are pure *mechanical*
+optimizations: they must never change what a seeded run computes.
+These tests pin that property by diffing whole trace buffers and
+counters between repeated seeded runs, and by exercising the
+lazy-cancellation path that replaced ``interrupt()``'s O(n) callback
+scans.
 """
 
 from repro.errors import InterruptError
@@ -20,13 +19,9 @@ from repro.tivopc.testbed import Testbed, TestbedConfig
 _SIM_SECONDS = 0.5
 
 
-def _traced_tivopc_run(pooling: bool):
+def _traced_tivopc_run():
     """One seeded TiVoPC run; returns (trace records, simulator)."""
     testbed = Testbed(TestbedConfig(seed=7))
-    if not pooling:
-        # The testbed builds its own Simulator; zeroing the pool limit
-        # before any event runs is equivalent to event_pool_size=0.
-        testbed.sim._pool_limit = 0
     testbed.sim.tracer = Tracer(testbed.sim, capacity=100_000)
     testbed.start()
     client = MeasurementClient(testbed)
@@ -36,49 +31,9 @@ def _traced_tivopc_run(pooling: bool):
     return list(testbed.sim.tracer.records), testbed.sim, client
 
 
-def test_tivopc_run_identical_with_pooling_disabled():
-    pooled_records, pooled_sim, pooled_client = _traced_tivopc_run(True)
-    plain_records, plain_sim, plain_client = _traced_tivopc_run(False)
-
-    assert pooled_sim.events_processed == plain_sim.events_processed
-    assert pooled_sim.now == plain_sim.now
-    assert pooled_client.jitter.arrivals_ns == plain_client.jitter.arrivals_ns
-    # Bit-identical traces: every record, field for field, in order.
-    assert pooled_records == plain_records
-
-
-def test_deferred_pool_recycles_value_carrying_sleeps():
-    """Value-carrying sleeps go through the pooled ``_Deferred``; the
-    pool must engage (``pool_recycled`` grows) without changing results,
-    and zeroing the pool limit must disable recycling entirely.
-    """
-
-    def workload(sim):
-        out = []
-
-        def proc():
-            for i in range(50):
-                out.append((yield sim.clock.after(10, value=i)))
-
-        sim.spawn(proc())
-        sim.run()
-        return out
-
-    pooled = Simulator()
-    expected = workload(pooled)
-    assert expected == list(range(50))
-    assert pooled.pool_recycled > 0
-
-    plain = Simulator()
-    plain._pool_limit = 0
-    assert workload(plain) == expected
-    assert plain.pool_recycled == 0
-    assert pooled.now == plain.now
-
-
 def test_seeded_tivopc_runs_are_reproducible():
-    first, first_sim, _ = _traced_tivopc_run(True)
-    second, second_sim, _ = _traced_tivopc_run(True)
+    first, first_sim, _ = _traced_tivopc_run()
+    second, second_sim, _ = _traced_tivopc_run()
     assert first_sim.events_processed == second_sim.events_processed
     assert first == second
 
@@ -127,11 +82,12 @@ def test_interrupt_abandons_large_condition_lazily():
 
 
 def test_stale_pooled_timeout_wakeup_is_dropped():
-    """A recycled fast-path timeout must not resume an old waiter.
+    """An abandoned fused sleep must not resume its old waiter.
 
-    The waiter abandons a ``clock.after`` sleep via interrupt; when
-    the original sleep fires (and its handle is recycled), the stale
-    entry must be discarded by the continuation-sequence check.
+    The waiter abandons a ``clock.after`` sleep via interrupt and then
+    sleeps again; when the original sleep's entry pops, it must be
+    discarded by the continuation-sequence check, counted in
+    ``dead_timers`` until then.
     """
     sim = Simulator()
     order = []
@@ -141,15 +97,17 @@ def test_stale_pooled_timeout_wakeup_is_dropped():
             yield sim.clock.after(1_000)
         except InterruptError:
             order.append(("interrupted", sim.now))
-        order.append(
-            ("woke", (yield sim.clock.after(2_000, value="late")), sim.now))
+        yield sim.clock.after(2_000)
+        order.append(("woke", sim.now))
 
     proc = sim.spawn(sleeper())
 
     def interrupter():
         yield sim.timeout(10)
         proc.interrupt()
+        assert sim.dead_timers == 1     # the abandoned entry awaits its pop
 
     sim.spawn(interrupter())
     sim.run()
-    assert order == [("interrupted", 10), ("woke", "late", 2_010)]
+    assert order == [("interrupted", 10), ("woke", 2_010)]
+    assert sim.dead_timers == 0

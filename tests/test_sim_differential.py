@@ -1,13 +1,14 @@
-"""Heap-vs-wheel differential tests: the scheduler swap is invisible.
+"""Differential tests: the queue and the entry point are invisible.
 
 The timer-wheel queue replaced the binary heap as a pure *mechanical*
 change: both implementations must pop in the identical ``(time,
 priority, seq)`` order, so every seeded run computes byte-identical
-results whichever queue is underneath.  These tests pin that property
-three ways:
+results whichever queue is underneath.  Likewise ``run``, ``step``,
+``run_until_event`` and a profiled ``run`` drive one dispatch loop, so
+they must compute the same run.  These tests pin those properties:
 
 * the TiVoPC pipeline, diffing whole :class:`Tracer` buffers record for
-  record;
+  record, across both queues and all four entry points;
 * the chaos harness across seeds 0..9 (fault injection, watchdogs,
   recovery — the densest timer workload in the repo), diffing
   order-sensitive run fingerprints;
@@ -19,26 +20,51 @@ three ways:
 import random
 from dataclasses import replace
 
+from repro import units
 from repro.core import ChannelConfig, HydraRuntime
 from repro.faults.chaos import ChaosProfile, run_chaos_scenario
 from repro.hw import Machine
-from repro.sim import Simulator, Tracer
+from repro.rdma.filter import run_filter_scenario
+from repro.rdma.kv import run_kv_scenario
+from repro.sim import Simulator, Tracer, profiled
 from repro.tivopc.client import MeasurementClient
 from repro.tivopc.server import SimpleServer
 from repro.tivopc.testbed import Testbed, TestbedConfig
 
 _SIM_SECONDS = 0.3
+_ENTRY_POINTS = ("run", "step", "run_until_event", "profiled")
 
 
-def _traced_tivopc_run(scheduler: str, seed: int):
+def _horizon_marker(sim, horizon):
+    """A process that finishes at ``horizon`` after everything else
+    scheduled there, so stopping on it ends the run exactly where
+    ``run(until=horizon)`` does."""
+    yield sim.clock.after(horizon - sim.now)
+    yield sim.clock.fence()
+
+
+def _traced_tivopc_run(scheduler: str, seed: int, entry: str = "run"):
     testbed = Testbed(TestbedConfig(seed=seed, scheduler=scheduler))
-    testbed.sim.tracer = Tracer(testbed.sim, capacity=200_000)
+    sim = testbed.sim
+    sim.tracer = Tracer(sim, capacity=200_000)
     testbed.start()
     client = MeasurementClient(testbed)
     client.start()
     SimpleServer(testbed).start()
-    testbed.run(_SIM_SECONDS)
-    return list(testbed.sim.tracer.records), testbed.sim, client
+    horizon = sim.now + units.s_to_ns(_SIM_SECONDS)
+    marker = sim.spawn(_horizon_marker(sim, horizon), name="horizon")
+    if entry == "run":
+        sim.run(until=horizon)
+    elif entry == "step":
+        while sim.peek() <= horizon:
+            sim.step()
+    elif entry == "run_until_event":
+        sim.run_until_event(marker)
+    else:
+        with profiled(sim) as profiler:
+            sim.run(until=horizon)
+        assert profiler.total.events == sim.events_processed
+    return list(sim.tracer.records), sim, client
 
 
 def test_tivopc_traces_identical_on_heap_and_wheel():
@@ -53,6 +79,26 @@ def test_tivopc_traces_identical_on_heap_and_wheel():
                 == heap_client.jitter.arrivals_ns)
         # Bit-identical traces: every record, field for field, in order.
         assert wheel_records == heap_records
+
+
+def test_tivopc_traces_identical_for_every_entry_point():
+    for seed in (0, 7):
+        outcomes = {}
+        for entry in _ENTRY_POINTS:
+            records, sim, client = _traced_tivopc_run("wheel", seed, entry)
+            outcomes[entry] = (sim.events_processed, sim.fused_resumes,
+                               sim.now, client.jitter.arrivals_ns, records)
+        reference = outcomes["run"]
+        for entry in _ENTRY_POINTS:
+            assert outcomes[entry] == reference, f"seed {seed}: {entry}"
+
+
+def test_event_count_read_inside_a_process_is_exact():
+    """The kv and filter scenarios read ``sim.events_processed`` from
+    inside their application process, under ``run_until_event``; the
+    loop publishes the count before each entry's user code runs."""
+    assert run_kv_scenario()["events"] == 3774
+    assert run_filter_scenario()["events"] == 8792
 
 
 def _chaos_fingerprint(seed: int, scheduler: str):

@@ -91,7 +91,7 @@ def test_profiling_does_not_change_the_run():
                 sim.run()
         else:
             sim.run()
-        return sim.events_processed, sim.now, sim.pool_recycled
+        return sim.events_processed, sim.now, sim.fused_resumes
 
     assert run(True) == run(False)
 
