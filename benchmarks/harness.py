@@ -12,9 +12,12 @@ output.  Two subcommands:
 
 ``check``
     Compare a fresh ``--current`` run against the committed
-    ``--baseline`` and exit non-zero if any benchmark's events/second
-    dropped by more than ``--tolerance`` (default 20 %).  CI runs this
-    on every push (the *perf-smoke* job).
+    ``--baseline`` and exit non-zero if any benchmark's simulated work
+    per wall second (``sim_ns / wall_s``) dropped by more than
+    ``--tolerance`` (default 20 %).  CI runs this on every push (the
+    *perf-smoke* job).  Events/second is recorded but not gated: a
+    change that removes events from a fixed amount of simulated work
+    lowers it while making the run faster.
 
 The committed ``benchmarks/results/bench.json`` is the baseline; re-run
 ``python benchmarks/harness.py run`` on the reference machine and commit
@@ -22,7 +25,12 @@ the result whenever a deliberate perf change lands.
 
 ``PRE_OVERHAUL_EVENTS_PER_SEC`` pins the hot-path overhaul's "before"
 number (same machine, same scenario, commit e5fa1f2) so the recorded
-speedup is visible in the JSON artifact itself.
+speedup is visible in the JSON artifact itself.  The ``PRE_*`` rates
+were measured while the reference workload cost
+``PRE_TICK_ENGINE_MICRO_EVENTS`` events; since the kernel tick stopped
+costing events, each rate is read as a wall time for the same fixed
+simulated work (``PRE_TICK_ENGINE_MICRO_EVENTS / rate`` seconds) and
+every recorded speedup is a ratio of wall times.
 """
 
 from __future__ import annotations
@@ -74,6 +82,23 @@ PRE_TELEMETRY_EVENTS_PER_SEC = 114_888
 PRE_WHEEL_ENGINE_MICRO_EVENTS_PER_SEC = 114_837
 PRE_WHEEL_TIMEOUT_STORM_EVENTS_PER_SEC = 784_790
 
+# Events of the engine microbenchmark's 5 simulated seconds while every
+# kernel tick cost three queue entries, i.e. when all the engine-micro
+# PRE_* rates above were measured.
+PRE_TICK_ENGINE_MICRO_EVENTS = 93_048
+
+
+def pre_wall_s(rate: float) -> float:
+    """Wall seconds the reference workload took at a ``PRE_*`` rate."""
+    return PRE_TICK_ENGINE_MICRO_EVENTS / rate
+
+
+def sim_rate(metrics: Dict[str, float]) -> float:
+    """Simulated nanoseconds per wall second of one benchmark entry."""
+    wall_s = metrics.get("wall_s", 0.0)
+    return metrics.get("sim_ns", 0) / wall_s if wall_s > 0 else 0.0
+
+
 # Simulated seconds per harness scenario: long enough to amortize setup,
 # short enough for a CI smoke job.
 MICRO_SECONDS = 5.0
@@ -118,18 +143,19 @@ def bench_engine_micro_tivopc() -> Dict[str, float]:
     cancellation and the cache inner loop together.
     """
     metrics = _timed_testbed_run(SimpleServer, MICRO_SECONDS)
+    wall_s = metrics["wall_s"]
     metrics["pre_overhaul_events_per_sec"] = PRE_OVERHAUL_EVENTS_PER_SEC
     metrics["speedup_vs_pre_overhaul"] = (
-        metrics["events_per_sec"] / PRE_OVERHAUL_EVENTS_PER_SEC)
+        pre_wall_s(PRE_OVERHAUL_EVENTS_PER_SEC) / wall_s)
     # Telemetry is disabled here, so this ratio is the disabled-path
     # cost of the instrumentation (one attribute check per site).
     metrics["pre_telemetry_events_per_sec"] = PRE_TELEMETRY_EVENTS_PER_SEC
     metrics["vs_pre_telemetry"] = (
-        metrics["events_per_sec"] / PRE_TELEMETRY_EVENTS_PER_SEC)
+        pre_wall_s(PRE_TELEMETRY_EVENTS_PER_SEC) / wall_s)
     metrics["pre_wheel_events_per_sec"] = (
         PRE_WHEEL_ENGINE_MICRO_EVENTS_PER_SEC)
     metrics["speedup_vs_pre_wheel"] = (
-        metrics["events_per_sec"] / PRE_WHEEL_ENGINE_MICRO_EVENTS_PER_SEC)
+        pre_wall_s(PRE_WHEEL_ENGINE_MICRO_EVENTS_PER_SEC) / wall_s)
     return metrics
 
 
@@ -147,8 +173,7 @@ def bench_engine_micro_telemetry() -> Dict[str, float]:
                                  telemetry=True)
     metrics["pre_telemetry_events_per_sec"] = PRE_TELEMETRY_EVENTS_PER_SEC
     metrics["tracing_cost_vs_disabled"] = (
-        PRE_TELEMETRY_EVENTS_PER_SEC / metrics["events_per_sec"]
-        if metrics["events_per_sec"] else 0.0)
+        metrics["wall_s"] / pre_wall_s(PRE_TELEMETRY_EVENTS_PER_SEC))
     return metrics
 
 
@@ -315,15 +340,16 @@ def bench_fleet() -> Dict[str, float]:
     """Sharded fleet throughput and its parallel scaling efficiency.
 
     Runs the chunk-fidelity population (``FLEET_CLIENTS`` subscribers,
-    ``FLEET_SHARDS`` shards) at 1, 2 and 4 workers.  The regression-
-    gated ``events_per_sec`` is the 1-worker aggregate rate — stable on
-    any runner.  Scaling is *measured* whenever the CPU affinity mask
-    covers the worker count; on smaller runners the multi-worker runs
-    would only measure oversubscription, so the harness instead projects
-    the makespan from the measured per-shard walls with the pool's
-    longest-processing-time dispatch model plus the measured
-    dispatch+merge overhead, and says so via ``speedup_basis`` — the
-    artifact never passes a projection off as a measurement.
+    ``FLEET_SHARDS`` shards) at 1, 2 and 4 workers.  The regression
+    gate reads the 1-worker run (``sim_ns`` summed over shards per
+    ``wall_s``) — stable on any runner.  Scaling is *measured* whenever
+    the CPU affinity mask covers the worker count; on smaller runners
+    the multi-worker runs would only measure oversubscription, so the
+    harness instead projects the makespan from the measured per-shard
+    walls with the pool's longest-processing-time dispatch model plus
+    the measured dispatch+merge overhead, and says so via
+    ``speedup_basis`` — the artifact never passes a projection off as a
+    measurement.
     """
     from repro.evaluation.fleet import FleetConfig, lpt_makespan, run_fleet
     from repro.evaluation.parallel import default_workers
@@ -423,7 +449,7 @@ def bench_rdma_kv() -> Dict[str, float]:
     equivalent two-sided ``Get`` RPCs.  ``speedup_sim`` is the paper-
     style claim — simulated time for the RPC sweep over the one-sided
     sweep — gated on the committed baseline by ``test_bench_rdma.py``;
-    ``events_per_sec`` is the usual wall-clock regression gate.
+    ``sim_ns / wall_s`` is the usual wall-clock regression gate.
     """
     from repro.rdma.kv import run_kv_scenario
 
@@ -506,10 +532,11 @@ def run_all(names: Optional[Sequence[str]] = None,
             repeat: int = 3) -> Dict[str, Dict]:
     """Execute the named benchmarks (all by default); return the report.
 
-    Each benchmark runs ``repeat`` times and the fastest run (highest
-    events/sec) is reported — best-of-N is the standard defence against
-    scheduler noise on shared CI runners.  The simulated work is
-    deterministic, so only the wall-clock fields vary between runs.
+    Each benchmark runs ``repeat`` times and the fastest run (most
+    simulated time per wall second) is reported — best-of-N is the
+    standard defence against scheduler noise on shared CI runners.  The
+    simulated work is deterministic, so only the wall-clock fields vary
+    between runs.
     """
     selected = list(names) if names else sorted(BENCHMARKS)
     unknown = [n for n in selected if n not in BENCHMARKS]
@@ -521,20 +548,20 @@ def run_all(names: Optional[Sequence[str]] = None,
     report: Dict[str, Dict] = {"schema": 1, "benchmarks": {}}
     for name in selected:
         runs = [BENCHMARKS[name]() for _ in range(repeat)]
-        report["benchmarks"][name] = max(
-            runs, key=lambda m: m["events_per_sec"])
+        report["benchmarks"][name] = max(runs, key=sim_rate)
     return report
 
 
 def check(baseline: Dict, current: Dict, tolerance: float) -> list:
-    """Regressions: benchmarks whose events/sec dropped past tolerance."""
+    """Regressions: benchmarks whose simulated ns per wall second
+    dropped past tolerance."""
     failures = []
     for name, base in baseline.get("benchmarks", {}).items():
-        base_rate = base.get("events_per_sec")
+        base_rate = sim_rate(base)
         cur = current.get("benchmarks", {}).get(name)
         if not base_rate or cur is None:
             continue
-        cur_rate = cur.get("events_per_sec", 0.0)
+        cur_rate = sim_rate(cur)
         floor = base_rate * (1.0 - tolerance)
         if cur_rate < floor:
             failures.append((name, base_rate, cur_rate))
@@ -559,16 +586,16 @@ def _cmd_check(args) -> int:
     current = json.loads(pathlib.Path(args.current).read_text())
     failures = check(baseline, current, args.tolerance)
     for name, base in baseline.get("benchmarks", {}).items():
-        cur = current.get("benchmarks", {}).get(name, {})
-        base_rate = base.get("events_per_sec", 0.0)
-        cur_rate = cur.get("events_per_sec", 0.0)
+        base_rate = sim_rate(base) / 1e9
+        cur_rate = sim_rate(current.get("benchmarks", {}).get(name, {})) / 1e9
         ratio = cur_rate / base_rate if base_rate else float("nan")
-        print(f"{name:24s} baseline {base_rate:>12,.0f} ev/s  "
-              f"current {cur_rate:>12,.0f} ev/s  ({ratio:.2f}x)")
+        print(f"{name:24s} baseline {base_rate:>10.4f} sim-s/s  "
+              f"current {cur_rate:>10.4f} sim-s/s  ({ratio:.2f}x)")
     if failures:
         print(f"\nPERF REGRESSION (tolerance {args.tolerance:.0%}):")
         for name, base_rate, cur_rate in failures:
-            print(f"  {name}: {base_rate:,.0f} -> {cur_rate:,.0f} ev/s "
+            print(f"  {name}: {base_rate / 1e9:.4f} -> "
+                  f"{cur_rate / 1e9:.4f} sim-s/s "
                   f"({cur_rate / base_rate:.2f}x)")
         return 1
     print("\nperf check passed")
@@ -594,7 +621,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     check_p.add_argument("--baseline", required=True)
     check_p.add_argument("--current", required=True)
     check_p.add_argument("--tolerance", type=float, default=0.20,
-                         help="allowed events/sec drop (default: 0.20)")
+                         help="allowed drop in simulated ns per wall "
+                              "second (default: 0.20)")
     check_p.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)

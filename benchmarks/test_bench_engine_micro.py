@@ -2,8 +2,10 @@
 
 The hot-path overhaul (__slots__ event types, pooled fast-path timeouts,
 lazy cancellation, dict-LRU cache inner loop) was accepted against a
->= 2x events/second bar on a CPU-bound TiVoPC run.  This benchmark
-re-measures that workload through :mod:`harness` and publishes both the
+>= 2x events/second bar on a CPU-bound TiVoPC run.  The kernel tick has
+since stopped costing events, so the bar now reads as a wall-time
+ceiling for the same 5 simulated seconds.  This benchmark re-measures
+that workload through :mod:`harness` and publishes both the
 human-readable summary and the machine-readable JSON entry.
 """
 
@@ -12,6 +14,7 @@ from conftest import publish
 from harness import (
     PRE_OVERHAUL_EVENTS_PER_SEC,
     PRE_WHEEL_ENGINE_MICRO_EVENTS_PER_SEC,
+    pre_wall_s,
     run_all,
 )
 
@@ -32,16 +35,21 @@ def test_bench_engine_micro(one_shot):
     ]), data=metrics)
 
     # The simulated work is fixed: same events, same final clock.
-    assert metrics["events"] == 93_048
+    assert metrics["events"] == 37_622
     assert metrics["sim_ns"] == 5_000_000_000
     # The hot sleeps dispatch through the fused bare-int fast path.
     assert metrics["fused_resumes"] > 10_000
+    # The bars are wall-time ceilings for these 5 simulated seconds: a
+    # PRE_* rate was measured while the workload cost
+    # PRE_TICK_ENGINE_MICRO_EVENTS events, so "2x the rate" means at
+    # most half that run's wall time (pre_wall_s / 2).
     # The overhaul's acceptance bar, measured best-of-N to shrug off
     # scheduler noise.  PRE_OVERHAUL_EVENTS_PER_SEC was recorded on the
     # reference machine immediately before the overhaul landed.
-    assert metrics["events_per_sec"] >= 2.0 * PRE_OVERHAUL_EVENTS_PER_SEC
+    assert metrics["wall_s"] <= pre_wall_s(PRE_OVERHAUL_EVENTS_PER_SEC) / 2.0
     # The timer-wheel core's bar is >= 3x the committed pre-wheel
     # baseline; the full-strength gate is the perf-smoke check against
     # the committed bench.json (whose entry records the 3x), so this
     # in-test floor is set a noise margin below it.
-    assert metrics["events_per_sec"] >= 2.0 * PRE_WHEEL_ENGINE_MICRO_EVENTS_PER_SEC
+    assert metrics["wall_s"] <= (
+        pre_wall_s(PRE_WHEEL_ENGINE_MICRO_EVENTS_PER_SEC) / 2.0)

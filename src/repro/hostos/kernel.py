@@ -5,6 +5,8 @@ OS artifacts the paper's evaluation depends on:
 
 * a **periodic timer tick** charging ISR time (the "system noise" of
   Tsafrir et al., cited by the paper for its timeliness argument);
+  the tick is a :class:`repro.hw.cpu.TimerInterrupt` on the machine's
+  CPU, not a process (see *The tick* below);
 * **background daemons** reproducing the testbed's idle baseline
   (the paper's idle system shows 2.86 % CPU and a nonzero L2 miss rate
   that Figure 10 normalizes against);
@@ -17,6 +19,26 @@ OS artifacts the paper's evaluation depends on:
 Everything is parameterized by :class:`KernelConfig`; the defaults are
 calibrated so an otherwise-idle machine reproduces the paper's idle rows
 (Tables 3 and 4).
+
+The tick
+--------
+Every ``tick_ns`` after its previous ISR finished, the tick counts
+itself, touches 512 bytes of kernel text in the L2, and occupies the
+CPU for ``tick_cost_ns`` under the context ``"kernel-tick"``; when the
+CPU is busy it queues FIFO behind the holder.  (So ticks drift by the
+ISR cost and any queueing, as they did when the tick was a process.)
+The interrupt is advanced lazily: its transitions are applied when the
+CPU or the L2 is next observed, and it costs a queue entry only when a
+request reaches the CPU while the tick holds it.  Most ticks cost no
+event at all.
+
+*Same-instant rule.*  A tick transition (firing, or a release that
+nobody waits for) that falls due at exactly the current time is applied
+before the entry running at that instant acts on the CPU or the L2.
+A request arriving at the very nanosecond a tick fires therefore queues
+behind the tick, and a touch at that nanosecond lands after the tick's
+touch in the L2 log.  A release that a waiter is queued for is a real
+queue entry and takes its turn in ``(time, priority, seq)`` order.
 """
 
 from __future__ import annotations
@@ -27,6 +49,7 @@ from typing import Dict, Generator, Optional
 from repro import units
 from repro.errors import OSError_
 from repro.hw.cache import Cache
+from repro.hw.cpu import TimerInterrupt
 from repro.hw.machine import Machine
 from repro.hostos.scheduler import SchedulerSpec, WakeupModel
 from repro.sim.engine import Event, Simulator
@@ -92,7 +115,8 @@ class Kernel:
                                   cpu=machine.cpu)
         self.cpu = machine.cpu
         self.l2: Cache = machine.l2
-        self.ticks = 0
+        self._ticks = 0
+        self._tick_irq: Optional[TimerInterrupt] = None
         self.syscalls: Dict[str, int] = {}
         self._started = False
         # Rolling offsets so successive copies stream through the cache
@@ -106,26 +130,29 @@ class Kernel:
     # -- lifecycle --------------------------------------------------------------
 
     def start(self, with_background: bool = True) -> None:
-        """Begin the tick loop and (optionally) the idle daemons."""
+        """Install the timer tick and (optionally) start the idle daemons."""
         if self._started:
             raise OSError_(f"kernel on {self.machine.name} already started")
         self._started = True
-        self.sim.spawn(self._tick_loop(), name=f"{self.machine.name}-ticks")
+        self._tick_irq = self.cpu.install_interrupt(
+            self.config.scheduler.tick_ns, self.config.tick_cost_ns,
+            "kernel-tick", self._on_tick)
+        self.l2.attach_interrupt(self._tick_irq)
         if with_background:
             self.sim.spawn(self._background_loop(),
                            name=f"{self.machine.name}-daemons")
 
-    def _tick_loop(self) -> Generator[Event, None, None]:
-        tick = self.config.scheduler.tick_ns
-        while True:
-            # Bare-int yield: the allocation-free fused sleep (1 kHz per
-            # host — the single hottest timeout site in the simulation).
-            yield tick
-            self.ticks += 1
-            # The tick handler touches a small slice of kernel text/data.
-            self.l2.touch_range(self.config.kernel_text_base, 512)
-            yield from self.cpu.execute(self.config.tick_cost_ns,
-                                        context="kernel-tick")
+    @property
+    def ticks(self) -> int:
+        """Timer ticks taken so far."""
+        if self._tick_irq is not None:
+            self._tick_irq.advance()
+        return self._ticks
+
+    def _on_tick(self) -> None:
+        self._ticks += 1
+        # The tick handler touches a small slice of kernel text/data.
+        self.l2.touch_range(self.config.kernel_text_base, 512)
 
     def _background_loop(self) -> Generator[Event, None, None]:
         cfg = self.config.background

@@ -258,6 +258,6 @@ class Bus:
         return sum(n for (s, d), n in self.crossings.items()
                    if HOST_MEMORY in (s, d))
 
-    def utilization(self, since: int = 0) -> float:
-        """Fraction of wall time the bus was occupied since ``since``."""
-        return self._arbiter.utilization(since)
+    def utilization(self) -> float:
+        """Fraction of wall time the bus was occupied since t=0."""
+        return self._arbiter.utilization()

@@ -27,9 +27,25 @@ mechanisms keep this off the event loop's critical path:
   in order — exactly, including LRU state — the moment anything
   observes the cache (``stats``, :meth:`access`, :meth:`access_range`,
   :meth:`contains`, :attr:`resident_lines`, :meth:`flush`, or a
-  resolved :meth:`stats_pin`), or when the log hits its cap.  Samplers
-  that only need counter *snapshots* take a :meth:`stats_pin` — a
-  position in the log resolved lazily after the run.
+  resolved :meth:`stats_pin`), or when the log hits its cap of
+  65,536 touches.  Samplers that only need counter *snapshots* take a
+  :meth:`stats_pin` — a position in the log resolved lazily after the
+  run.
+
+* **Folded repeats.**  A touch within one tag (one block of
+  ``sets x line`` bytes, 32 kB on the default L2) that repeats the
+  previous log entry exactly — same first line, last line and write
+  flag, with no :meth:`stats_pin` taken in between — only bumps that
+  entry's repeat count.  The first touch leaves the tag MRU in every
+  set it covers, so each repeat is pure MRU hits, and the replay
+  charges it as such.  The per-tick kernel-text touch is the common
+  case.  The cap still counts touches, not entries.
+
+* **Lazy writers.**  A CPU timer interrupt that touches the cache is
+  applied lazily (:class:`repro.hw.cpu.TimerInterrupt`); once it is
+  attached (:meth:`Cache.attach_interrupt`), every touch and every
+  observation above first advances it to ``sim.now``, so its touches
+  land in the log in time order.
 
 * **Batched exact-LRU updates.**  With numpy available the whole cache
   lives in two arrays and every walk *segment* (the run of consecutive
@@ -48,9 +64,12 @@ mechanisms keep this off the event loop's critical path:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import HardwareError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hw.cpu import TimerInterrupt
 
 try:  # pragma: no cover - exercised implicitly everywhere numpy exists
     import numpy as _np
@@ -59,10 +78,12 @@ except ImportError:  # pragma: no cover - degraded environments only
 
 __all__ = ["CacheConfig", "CacheStats", "Cache", "StatsPin"]
 
-# Forced-drain threshold for the deferred-access log.  Big enough that a
-# busy simulated second logs freely, small enough to bound memory (each
-# entry is one small tuple).
+# Forced-drain threshold for the deferred-access log, in touches (a
+# folded repeat counts).  Big enough that a busy simulated second logs
+# freely, small enough to bound memory (each entry is one small tuple).
 _OPLOG_CAP = 65536
+# Stand-in previous entry for an empty log (matches no touch).
+_NO_ENTRY = (-1, -1, None, 0)
 
 
 def _is_pow2(n: int) -> bool:
@@ -186,10 +207,13 @@ class Cache:
         self.config = config or CacheConfig()
         self.name = name
         self._stats = CacheStats()
-        # Deferred (first_line, last_line, write) touches awaiting
-        # classification, and unresolved StatsPins into that log.
-        self._oplog: List[Tuple[int, int, bool]] = []
+        # Deferred (first_line, last_line, write, repeats) touches
+        # awaiting classification, the touches they hold, and
+        # unresolved StatsPins into that log.
+        self._oplog: List[Tuple[int, int, bool, int]] = []
+        self._touches = 0
         self._pins: List[StatsPin] = []
+        self._irq: Optional[TimerInterrupt] = None
         self._set_mask = self.config.num_sets - 1
         self._line_shift = self.config.line_bytes.bit_length() - 1
         self._index_bits = self._set_mask.bit_length()
@@ -220,9 +244,26 @@ class Cache:
 
     # -- observation & laziness --------------------------------------------
 
+    def attach_interrupt(self, irq: TimerInterrupt) -> None:
+        """Advance ``irq`` before every touch and observation.
+
+        For a lazily advanced CPU timer interrupt whose handler touches
+        this cache: its touches then enter the log in time order.  A
+        cache takes at most one interrupt.
+        """
+        if self._irq is not None:
+            raise HardwareError(f"{self.name} already has an interrupt")
+        self._irq = irq
+
+    def _sync(self) -> None:
+        irq = self._irq
+        if irq is not None and irq.due <= irq.sim.now:
+            irq.advance()
+
     @property
     def stats(self) -> CacheStats:
         """Aggregate counters (exact: drains any deferred touches)."""
+        self._sync()
         if self._oplog:
             self._drain()
         return self._stats
@@ -236,6 +277,7 @@ class Cache:
         eager accesses are interleaved, because every eager access
         drains the log first.
         """
+        self._sync()
         pin = StatsPin(self, len(self._oplog))
         if pin._index == 0:
             # Nothing pending: the snapshot is already known.
@@ -258,34 +300,46 @@ class Cache:
             raise HardwareError(f"negative range size: {size}")
         if base < 0:
             raise HardwareError(f"negative address: {base}")
+        irq = self._irq                      # _sync(), inlined
+        if irq is not None and irq.due <= irq.sim.now:
+            irq.advance()
         shift = self._line_shift
+        first = base >> shift
+        last = (base + size - 1) >> shift
         log = self._oplog
-        log.append((base >> shift, (base + size - 1) >> shift, write))
-        if len(log) >= _OPLOG_CAP:
+        prev = log[-1] if log else _NO_ENTRY
+        if (prev[0] == first and prev[1] == last and prev[2] == write
+                and first >> self._index_bits == last >> self._index_bits
+                and not (self._pins and self._pins[-1]._index == len(log))):
+            log[-1] = (first, last, prev[2], prev[3] + 1)
+        else:
+            log.append((first, last, write, 0))
+        self._touches += 1
+        if self._touches >= _OPLOG_CAP:
             self._drain()
 
     def _drain(self) -> None:
         """Replay the deferred-access log in order, resolving pins."""
         log = self._oplog
         pins = self._pins
+        stats = self._stats
         apply_lines = self._apply_lines
-        if pins:
-            pos = 0
-            p = 0
-            for first, last, write in log:
-                while p < len(pins) and pins[p]._index <= pos:
-                    pins[p]._value = self._stats.snapshot()
-                    p += 1
-                apply_lines(first, last, write)
-                pos += 1
-            while p < len(pins):
-                pins[p]._value = self._stats.snapshot()
+        pos = 0
+        p = 0
+        for first, last, write, repeats in log:
+            while p < len(pins) and pins[p]._index <= pos:
+                pins[p]._value = stats.snapshot()
                 p += 1
-            del pins[:]
-        else:
-            for first, last, write in log:
-                apply_lines(first, last, write)
+            apply_lines(first, last, write)
+            if repeats:
+                # Folded repeats of a one-tag touch: pure MRU hits.
+                stats.hits += repeats * (last - first + 1)
+            pos += 1
+        for pin in pins[p:]:
+            pin._value = stats.snapshot()
+        del pins[:]
         del log[:]
+        self._touches = 0
 
     # -- core access -------------------------------------------------------
 
@@ -293,6 +347,7 @@ class Cache:
         """Access one address; return True on hit, False on miss."""
         if address < 0:
             raise HardwareError(f"negative address: {address}")
+        self._sync()
         if self._oplog:
             self._drain()
         line = address >> self._line_shift
@@ -340,6 +395,7 @@ class Cache:
             return (0, 0)
         if base < 0:
             raise HardwareError(f"negative address: {base}")
+        self._sync()
         if self._oplog:
             self._drain()
         first = base >> self._line_shift
@@ -458,6 +514,7 @@ class Cache:
 
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is resident (no side effects)."""
+        self._sync()
         if self._oplog:
             self._drain()
         line = address >> self._line_shift
@@ -470,6 +527,7 @@ class Cache:
     @property
     def resident_lines(self) -> int:
         """Lines currently cached across all sets (sentinels excluded)."""
+        self._sync()
         if self._oplog:
             self._drain()
         if self._ways_arr is not None:
@@ -478,6 +536,7 @@ class Cache:
 
     def flush(self) -> int:
         """Invalidate everything; return the number of dirty lines written back."""
+        self._sync()
         if self._oplog:
             self._drain()
         if self._ways_arr is not None:

@@ -7,19 +7,45 @@ processes charge work either in *cycles* or directly in nanoseconds.
 Every busy interval is attributed to a context label (``"idle-daemons"``,
 ``"server"``, ``"kernel"``, ...) so experiments can both sample total
 utilization and break it down.
+
+Two mechanisms keep the CPU off the event loop's critical path:
+
+* **A free CPU costs no grant event.**  :meth:`Cpu.execute` on an idle
+  CPU claims it inline and goes straight to its sleep; only a busy CPU
+  queues through the FIFO :class:`~repro.sim.resources.Resource`.
+* **The timer interrupt is advanced lazily.**  A
+  :class:`TimerInterrupt` (the host kernel's 1 kHz tick) is a state
+  machine, not a process.  It sleeps until it is due, then holds the
+  CPU for its cost, or waits in the FIFO behind the current holder,
+  exactly as a process calling :meth:`Cpu.execute` would.  Its
+  transitions are applied only when someone looks: every observer of
+  the CPU (``execute``, ``busy``, ``queue_depth``, ``utilization``,
+  ``total_busy``, ``busy_by_context``, :class:`CpuSampler`) and of a
+  cache it touches first calls :meth:`TimerInterrupt.advance`.  A tick
+  takes a queue entry only when the CPU is contended around it: a
+  request arriving while the tick holds the CPU schedules the tick's
+  release with ``clock.at`` so the waiter is granted on time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro import units
 from repro.errors import HardwareError
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Resource
 
-__all__ = ["CpuSpec", "Cpu", "CpuSampler"]
+__all__ = ["CpuSpec", "Cpu", "CpuSampler", "TimerInterrupt"]
+
+_INF = float("inf")
+
+# TimerInterrupt states.
+_SLEEPING = 0      # not holding the CPU; fires at `due`
+_HOLDING = 1       # holding the CPU, released lazily at `due`
+_QUEUED = 2        # waiting in the CPU's FIFO
+_RELEASING = 3     # holding the CPU; its release is a scheduled entry
 
 
 @dataclass(frozen=True)
@@ -50,8 +76,29 @@ class Cpu:
         self.spec = spec or CpuSpec()
         self.name = name
         self._resource = Resource(sim, capacity=1)
-        self.busy_by_context: Dict[str, int] = {}
-        self.total_busy = 0
+        self._busy_by_context: Dict[str, int] = {}
+        self._total_busy = 0
+        self._irq: Optional[TimerInterrupt] = None
+
+    def install_interrupt(self, period_ns: int, cost_ns: int, context: str,
+                          handler: Callable[[], None]) -> "TimerInterrupt":
+        """Install this CPU's periodic timer interrupt.
+
+        From ``period_ns`` after now, the interrupt fires every
+        ``period_ns`` after its previous release: it calls ``handler()``
+        and occupies the CPU for ``cost_ns``, charged to ``context``.
+        A CPU has at most one timer interrupt.
+        """
+        if self._irq is not None:
+            raise HardwareError(f"{self.name} already has a timer interrupt")
+        self._irq = TimerInterrupt(self, period_ns, cost_ns, context, handler)
+        return self._irq
+
+    def _sync(self) -> None:
+        """Bring the timer interrupt up to ``sim.now``."""
+        irq = self._irq
+        if irq is not None and irq.due <= self.sim.now:
+            irq.advance()
 
     # -- execution ----------------------------------------------------------
 
@@ -65,42 +112,173 @@ class Cpu:
         """
         if duration_ns < 0:
             raise HardwareError(f"negative CPU work: {duration_ns}")
-        yield self._resource.request()
+        sim = self.sim
+        irq = self._irq
+        if irq is not None and irq.due <= sim.now:
+            irq.advance()
+        resource = self._resource
+        if resource.in_use == 0:
+            # A free CPU is taken inline: no grant event.
+            resource.in_use = 1
+            resource._busy_since = sim.now
+        else:
+            if irq is not None and irq._state == _HOLDING:
+                irq._schedule_release()
+            yield resource.request()
         try:
             # Bare-int yield: the engine's allocation-free fused sleep.
             yield duration_ns
         finally:
-            self._resource.release()
-            self.total_busy += duration_ns
-            self.busy_by_context[context] = (
-                self.busy_by_context.get(context, 0) + duration_ns)
+            if irq is not None and irq.due <= sim.now:
+                irq.advance()
+            resource.release()
+            self._charge(context, duration_ns)
 
     def execute_cycles(self, cycles: int, context: str = "anonymous"
                        ) -> Generator[Event, None, None]:
         """Occupy the CPU for ``cycles`` at the CPU's clock frequency."""
         yield from self.execute(self.spec.cycles_to_ns(cycles), context=context)
 
+    def _charge(self, context: str, duration_ns: int) -> None:
+        self._total_busy += duration_ns
+        self._busy_by_context[context] = (
+            self._busy_by_context.get(context, 0) + duration_ns)
+
     # -- inspection ---------------------------------------------------------
 
     @property
     def busy(self) -> bool:
         """True while something is executing."""
+        self._sync()
         return self._resource.in_use > 0
 
     @property
     def queue_depth(self) -> int:
         """Jobs waiting for the CPU (excluding the current holder)."""
+        self._sync()
         return len(self._resource._waiters)
 
-    def utilization(self, since: int = 0) -> float:
-        """Busy fraction of wall time from ``since`` to now."""
-        return self._resource.utilization(since)
+    @property
+    def total_busy(self) -> int:
+        """Nanoseconds of finished work (a hold counts once released)."""
+        self._sync()
+        return self._total_busy
+
+    @property
+    def busy_by_context(self) -> Dict[str, int]:
+        """Finished work in nanoseconds, per context label."""
+        self._sync()
+        return self._busy_by_context
+
+    def utilization(self) -> float:
+        """Busy fraction of wall time from t=0 to now."""
+        self._sync()
+        return self._resource.utilization()
 
     def context_share(self, context: str) -> float:
         """Fraction of all busy time attributed to ``context``."""
-        if self.total_busy == 0:
+        total = self.total_busy
+        if total == 0:
             return 0.0
-        return self.busy_by_context.get(context, 0) / self.total_busy
+        return self._busy_by_context.get(context, 0) / total
+
+
+class TimerInterrupt:
+    """A CPU's periodic timer interrupt, advanced lazily.
+
+    Behaves exactly like a process looping ``sleep(period); handler();
+    cpu.execute(cost)``: it fires ``period_ns`` after its previous
+    release, calls ``handler()``, and then holds the CPU for
+    ``cost_ns`` (at once if the CPU is free, otherwise after the holders
+    already queued in the FIFO).  Four states:
+
+    * *sleeping* until :attr:`due`, when it fires;
+    * *holding* the CPU, released lazily at :attr:`due`;
+    * *queued* in the CPU's FIFO (a real waiter; the holder's release
+      grants it);
+    * *releasing*: holding the CPU with its release scheduled as a
+      ``clock.at`` entry, because a request arrived during the hold.
+
+    Only the last state costs a queue entry.  :attr:`due` is the time
+    of the next sleeping/holding transition (``inf`` in the other two
+    states) and :meth:`advance` applies every transition due at or
+    before ``sim.now``.  The CPU, and every cache the handler touches
+    (:meth:`repro.hw.cache.Cache.attach_interrupt`), call it before
+    looking at their state, so nobody observes the interrupt out of
+    date.  A transition due exactly at ``sim.now`` is therefore applied
+    before whatever entry is running at that instant acts.
+    """
+
+    __slots__ = ("cpu", "sim", "period_ns", "cost_ns", "context",
+                 "handler", "due", "_state")
+
+    def __init__(self, cpu: Cpu, period_ns: int, cost_ns: int, context: str,
+                 handler: Callable[[], None]) -> None:
+        if period_ns <= 0 or cost_ns < 0:
+            raise HardwareError(
+                f"bad timer interrupt: period {period_ns}, cost {cost_ns}")
+        self.cpu = cpu
+        self.sim = cpu.sim
+        self.period_ns = period_ns
+        self.cost_ns = cost_ns
+        self.context = context
+        self.handler = handler
+        # Time of the next transition advance() applies (inf while the
+        # interrupt waits in the FIFO or its release is scheduled).
+        self.due = self.sim.now + period_ns
+        self._state = _SLEEPING
+
+    def advance(self) -> None:
+        """Apply every lazy transition due at or before ``sim.now``."""
+        now = self.sim.now
+        resource = self.cpu._resource
+        while self.due <= now:
+            when = self.due
+            # Re-entrant observers (the handler's own cache touch) see
+            # nothing due while this transition runs.
+            self.due = _INF
+            if self._state == _SLEEPING:
+                self.handler()
+                if resource.in_use == 0:
+                    resource.in_use = 1
+                    resource._busy_since = when
+                    self._hold(when)
+                else:
+                    # A real FIFO waiter: the holder's release calls
+                    # succeed() on it.
+                    self._state = _QUEUED
+                    resource._waiters.append(self)
+            else:
+                # Lazy release: nobody waits behind a holding interrupt.
+                resource.in_use = 0
+                resource.busy_time += when - resource._busy_since
+                resource._busy_since = None
+                self._sleep(when)
+
+    def succeed(self, _resource: Resource) -> None:
+        """FIFO grant (called by the resource's release): hold the CPU."""
+        self._hold(self.sim.now)
+        if self.cpu._resource._waiters:
+            self._schedule_release()
+
+    def _hold(self, start: int) -> None:
+        self._state = _HOLDING
+        self.due = start + self.cost_ns
+
+    def _schedule_release(self) -> None:
+        """A request arrived during the hold: release with a real entry."""
+        self._state = _RELEASING
+        self.sim.clock.at(self.due, self._release)
+        self.due = _INF
+
+    def _release(self) -> None:
+        self.cpu._resource.release()
+        self._sleep(self.sim.now)
+
+    def _sleep(self, released: int) -> None:
+        self.cpu._charge(self.context, self.cost_ns)
+        self._state = _SLEEPING
+        self.due = released + self.period_ns
 
 
 class CpuSampler:
@@ -117,9 +295,11 @@ class CpuSampler:
         self._last_busy = self._current_busy()
 
     def _current_busy(self) -> int:
-        busy = self.cpu._resource.busy_time
-        if self.cpu._resource._busy_since is not None:
-            busy += self.cpu.sim.now - self.cpu._resource._busy_since
+        self.cpu._sync()
+        resource = self.cpu._resource
+        busy = resource.busy_time
+        if resource._busy_since is not None:
+            busy += self.cpu.sim.now - resource._busy_since
         return busy
 
     def sample(self) -> float:

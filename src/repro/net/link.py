@@ -76,6 +76,6 @@ class Link:
         return units.transfer_time_ns(packet.wire_bytes,
                                       self.spec.bandwidth_bps)
 
-    def utilization(self, since: int = 0) -> float:
-        """Fraction of wall time the wire carried bits."""
-        return self._wire.utilization(since)
+    def utilization(self) -> float:
+        """Fraction of wall time since t=0 the wire carried bits."""
+        return self._wire.utilization()

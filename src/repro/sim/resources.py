@@ -180,15 +180,15 @@ class Resource:
             self.in_use += 1
         event.succeed(self)
 
-    def utilization(self, since: int = 0) -> float:
-        """Fraction of wall time with at least one holder, from ``since``."""
-        window = self.sim.now - since
-        if window <= 0:
+    def utilization(self) -> float:
+        """Fraction of wall time with at least one holder, from t=0."""
+        now = self.sim.now
+        if now <= 0:
             return 0.0
         busy = self.busy_time
         if self._busy_since is not None:
-            busy += self.sim.now - max(self._busy_since, since)
-        return min(1.0, busy / window)
+            busy += now - self._busy_since
+        return min(1.0, busy / now)
 
 
 class Container:

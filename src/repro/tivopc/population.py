@@ -9,9 +9,9 @@ fidelity tiers sharing one result schema:
   :class:`~repro.tivopc.testbed.Testbed` running the absolutely-paced
   offloaded pipeline (:class:`~repro.tivopc.server.OffloadedServer`
   firmware timer → switch → client NIC →
-  :class:`~repro.tivopc.client.MeasurementClient`).  ~90 simulation
-  events per chunk: NIC rings, switch hops, bus transactions, kernel
-  ticks.  The ground truth.
+  :class:`~repro.tivopc.client.MeasurementClient`).  ~40 simulation
+  events per chunk: NIC rings, switch hops, bus transactions, contended
+  kernel ticks.  The ground truth.
 
 * ``fidelity="chunk"`` — the scale model: one simulator hosts every
   subscriber in the shard, each subscriber is a single process taking

@@ -97,8 +97,8 @@ def test_event_count_read_inside_a_process_is_exact():
     """The kv and filter scenarios read ``sim.events_processed`` from
     inside their application process, under ``run_until_event``; the
     loop publishes the count before each entry's user code runs."""
-    assert run_kv_scenario()["events"] == 3774
-    assert run_filter_scenario()["events"] == 8792
+    assert run_kv_scenario()["events"] == 2576
+    assert run_filter_scenario()["events"] == 7464
 
 
 def _chaos_fingerprint(seed: int, scheduler: str):

@@ -269,3 +269,22 @@ def test_container_validation():
         tank.put(0)
     with pytest.raises(SimulationError):
         tank.get(-1)
+
+
+def test_resource_utilization_has_no_window_argument():
+    """``utilization(since)`` used to add all busy time since t=0 to the
+    window: busy over [0, 100) then idle read 1.0 for since=100 at
+    t=200.  The parameter is gone; the only window is [0, now)."""
+    sim = Simulator()
+    res = Resource(sim)
+
+    def job(sim, res):
+        yield res.request()
+        yield sim.timeout(100)
+        res.release()
+
+    sim.spawn(job(sim, res))
+    sim.run(until=200)
+    assert res.utilization() == pytest.approx(0.5)
+    with pytest.raises(TypeError):
+        res.utilization(since=100)
