@@ -16,14 +16,14 @@ The model is deliberately timing-free: it classifies accesses; the *cost*
 of a miss is charged by the CPU/OS models that call it.
 
 Performance: the hottest consumer is the kernel daemon wake, which walks
-a ~1250-line buffer per period — >80 % of all line traffic.  Two
+a ~1250-line buffer per period — >80 % of all line traffic.  Four
 mechanisms keep this off the event loop's critical path:
 
 * **Deferred classification.**  No simulated component consumes the
   hit/miss classification inline — callers fire ranged touches and the
   counters are only read at observation points (samplers, end-of-run
   metrics, tests).  :meth:`Cache.touch_range` therefore just appends
-  ``(first_line, last_line, write)`` to an op log; the log is replayed
+  ``(first_line, last_line, write, repeats)`` to an op log; the log is replayed
   in order — exactly, including LRU state — the moment anything
   observes the cache (``stats``, :meth:`access`, :meth:`access_range`,
   :meth:`contains`, :attr:`resident_lines`, :meth:`flush`, or a
@@ -47,22 +47,25 @@ mechanisms keep this off the event loop's critical path:
   observation above first advances it to ``sim.now``, so its touches
   land in the log in time order.
 
-* **Batched exact-LRU updates.**  With numpy available the whole cache
-  lives in two arrays and every walk *segment* (the run of consecutive
-  lines sharing one tag, which by construction touches consecutive,
-  distinct sets) updates as a constant number of batched array
-  operations, with fast paths for the dominant all-miss and
-  repeat-walk (all-hit-at-MRU) cases.  Every set is kept permanently
-  full by pre-filling it with negative *sentinel* tags (real tags are
-  non-negative, so sentinels can never hit, and evicting one is
-  exactly the real model's "insert into a not-yet-full set"), which
-  removes the fill/evict branch without changing any counter.  Without
-  numpy the model falls back to per-set ordered dicts and a per-line
-  loop; the op log works identically.
+* **Run-length set state.**  Every touch is a contiguous line range,
+  so within one tag block it hits a contiguous run of sets with one
+  tag, and the state stays piecewise constant over set index.  The
+  cache keeps a sorted list of piece starts and one row per piece —
+  the resident tags in LRU-to-MRU order and their dirty bits — shared
+  by every set in the piece.  A segment (the lines of a touch that
+  share one tag) splits the pieces at its two ends, updates each
+  covered piece once with the exact LRU, eviction and writeback
+  arithmetic scaled by the piece's width, and merges equal
+  neighbours.  Adjacent pieces therefore always differ, and there are
+  never more pieces than sets (the bound is reached when every set
+  holds something different).  In the four TiVoPC server scenarios
+  (seed 1, 40 s each) the default L2 peaks at 41 pieces of a possible
+  512.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -70,11 +73,6 @@ from repro.errors import HardwareError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.cpu import TimerInterrupt
-
-try:  # pragma: no cover - exercised implicitly everywhere numpy exists
-    import numpy as _np
-except ImportError:  # pragma: no cover - degraded environments only
-    _np = None
 
 __all__ = ["CacheConfig", "CacheStats", "Cache", "StatsPin"]
 
@@ -84,6 +82,9 @@ __all__ = ["CacheConfig", "CacheStats", "Cache", "StatsPin"]
 _OPLOG_CAP = 65536
 # Stand-in previous entry for an empty log (matches no touch).
 _NO_ENTRY = (-1, -1, None, 0)
+# A piece's row: resident tags LRU -> MRU, and their dirty bits.
+_Row = Tuple[Tuple[int, ...], Tuple[bool, ...]]
+_EMPTY: _Row = ((), ())
 
 
 def _is_pow2(n: int) -> bool:
@@ -186,14 +187,13 @@ class StatsPin:
 class Cache:
     """A set-associative write-back LRU cache.
 
-    Canonical state is a pair of numpy arrays — ``_ways_arr`` ``(sets,
-    ways)`` int64 tags in LRU order (column 0 = LRU, last column = MRU)
-    and ``_dirty_arr`` bools of the same shape.  All accesses, single or
-    ranged, are batched per-segment array updates; the per-access cost
-    is dominated by numpy call dispatch, so the update is shaped to use
-    a constant, small number of array operations regardless of segment
-    length.  Without numpy the model keeps one ordered dict per set
-    (tag -> dirty, insertion order = LRU order) and loops per line.
+    State is run-length encoded over set index: piece ``k`` covers sets
+    ``_starts[k]`` up to the next start, and every one of them holds
+    ``_rows[k]``, a ``(tags, dirty)`` pair of tuples in LRU-to-MRU
+    order (shorter than the associativity while the sets fill).  Every
+    access, single or ranged, splits the pieces at the ends of each
+    one-tag segment and updates each covered piece once; see the module
+    docstring.
 
     Fire-and-forget callers (every in-simulation component) should use
     :meth:`touch_range`, which defers classification to an op log; any
@@ -218,29 +218,8 @@ class Cache:
         self._line_shift = self.config.line_bytes.bit_length() - 1
         self._index_bits = self._set_mask.bit_length()
         self._ways = self.config.associativity
-        num_sets = self.config.num_sets
-        ways = self._ways
-        # Sentinel prefill: unique negative tags per row keep every set
-        # exactly `ways` entries deep (see module docstring).
-        self._sentinels = list(range(-ways, 0))
-        if _np is not None:
-            self._ways_arr = _np.tile(
-                _np.arange(-ways, 0, dtype=_np.int64), (num_sets, 1))
-            self._dirty_arr = _np.zeros((num_sets, ways), dtype=bool)
-            self._rows = _np.arange(num_sets)[:, None]
-            # Gather LUT: row p is the index vector that deletes
-            # position p and shifts everything above it left (the last
-            # column is a don't-care, overwritten with the new MRU).
-            self._glut = _np.minimum(
-                _np.arange(ways) + (_np.arange(ways) >=
-                                    _np.arange(ways)[:, None]),
-                ways - 1)
-            self._dictsets: List[Optional[dict]] = []
-        else:
-            self._ways_arr = None
-            self._dirty_arr = None
-            self._dictsets = [
-                dict.fromkeys(self._sentinels, False) for _ in range(num_sets)]
+        self._starts: List[int] = [0]
+        self._rows: List[_Row] = [_EMPTY]
 
     # -- observation & laziness --------------------------------------------
 
@@ -351,32 +330,7 @@ class Cache:
         if self._oplog:
             self._drain()
         line = address >> self._line_shift
-        tag = line >> self._index_bits
-        index = line & self._set_mask
-        stats = self._stats
-        if self._ways_arr is not None:
-            h, _m, e, w = self._segment(index, index + 1, tag, write)
-            stats.hits += h
-            stats.misses += 1 - h
-            stats.evictions += e
-            stats.writebacks += w
-            return bool(h)
-        d = self._dictsets[index]
-        if tag in d:
-            # LRU bump: reinsert at the back (dicts keep insertion order).
-            d[tag] = d.pop(tag) or write
-            stats.hits += 1
-            return True
-        # Miss: evict the LRU (front key).  Sets are always full; a
-        # sentinel victim is the "set not yet full" case and is free.
-        lru = next(iter(d))
-        if d.pop(lru):
-            stats.writebacks += 1
-        if lru >= 0:
-            stats.evictions += 1
-        d[tag] = write
-        stats.misses += 1
-        return False
+        return self._apply_lines(line, line, write)[0] == 1
 
     def access_range(self, base: int, size: int, write: bool = False) -> Tuple[int, int]:
         """Touch every line in ``[base, base+size)``.
@@ -386,8 +340,8 @@ class Cache:
         single hottest non-event loop in the simulation (a daemon wake
         walks 1250 lines).  The range is split into segments of lines
         sharing one tag; consecutive lines in a segment land in
-        consecutive, distinct sets, so each segment is one batched
-        array update.
+        consecutive, distinct sets, so each segment updates a run of
+        pieces.
         """
         if size < 0:
             raise HardwareError(f"negative range size: {size}")
@@ -402,41 +356,62 @@ class Cache:
         last = (base + size - 1) >> self._line_shift
         return self._apply_lines(first, last, write)
 
+    def _split(self, index: int) -> int:
+        """The position of the piece starting at set ``index``, splitting
+        the piece that contains it if needed (``num_sets`` -> the end)."""
+        starts = self._starts
+        if index == self._set_mask + 1:
+            return len(starts)
+        k = bisect_right(starts, index) - 1
+        if starts[k] != index:
+            k += 1
+            starts.insert(k, index)
+            self._rows.insert(k, self._rows[k - 1])
+        return k
+
     def _apply_lines(self, first: int, last: int,
                      write: bool) -> Tuple[int, int]:
         """Apply one logged/validated line-range touch; return (hits, misses)."""
+        starts = self._starts
+        rows = self._rows
+        split = self._split
+        ways = self._ways
         index_bits = self._index_bits
+        num_sets = self._set_mask + 1
         hits = misses = evictions = writebacks = 0
-        if self._ways_arr is not None:
-            segment = self._segment
-            for t in range(first >> index_bits, (last >> index_bits) + 1):
-                block = t << index_bits
-                lo = max(first, block) - block
-                hi = min(last, block + (1 << index_bits) - 1) - block
-                h, m, e, w = segment(lo, hi + 1, t, write)
-                hits += h
-                misses += m
-                evictions += e
-                writebacks += w
-        else:
-            dictsets = self._dictsets
-            for t in range(first >> index_bits, (last >> index_bits) + 1):
-                block = t << index_bits
-                lo = max(first, block) - block
-                hi = min(last, block + (1 << index_bits) - 1) - block
-                for s in range(lo, hi + 1):
-                    d = dictsets[s]
-                    if t in d:
-                        d[t] = d.pop(t) or write
-                        hits += 1
-                    else:
-                        lru = next(iter(d))
-                        if d.pop(lru):
-                            writebacks += 1
-                        if lru >= 0:
-                            evictions += 1
-                        d[t] = write
-                        misses += 1
+        for t in range(first >> index_bits, (last >> index_bits) + 1):
+            block = t << index_bits
+            i = split(max(first, block) - block)
+            j = split(min(last + 1, block + num_sets) - block)
+            end = starts[j] if j < len(starts) else num_sets
+            for k in range(j - 1, i - 1, -1):
+                width = end - starts[k]
+                end = starts[k]
+                tags, dirty = rows[k]
+                if tags and tags[-1] == t:
+                    # Hit at MRU: the order stands.
+                    hits += width
+                    if write and not dirty[-1]:
+                        rows[k] = (tags, dirty[:-1] + (True,))
+                elif t in tags:
+                    p = tags.index(t)
+                    hits += width
+                    rows[k] = (tags[:p] + tags[p + 1:] + (t,),
+                               dirty[:p] + dirty[p + 1:] + (write or dirty[p],))
+                else:
+                    misses += width
+                    if len(tags) == ways:
+                        evictions += width
+                        if dirty[0]:
+                            writebacks += width
+                        tags = tags[1:]
+                        dirty = dirty[1:]
+                    rows[k] = (tags + (t,), dirty + (write,))
+            # Merge equal neighbours across the segment and its two ends.
+            for k in range(min(j, len(starts) - 1), max(i, 1) - 1, -1):
+                if rows[k] == rows[k - 1]:
+                    del starts[k]
+                    del rows[k]
         stats = self._stats
         stats.hits += hits
         stats.misses += misses
@@ -444,71 +419,11 @@ class Cache:
         stats.writebacks += writebacks
         return (hits, misses)
 
-    def _segment(self, lo: int, hi1: int, tag: int,
-                 write: bool) -> Tuple[int, int, int, int]:
-        """Exact batched LRU update: one access of ``tag`` to each of
-        the consecutive sets ``lo..hi1-1``.  Returns the four counter
-        deltas.
-
-        Dispatch count is what matters here — each numpy call costs
-        ~1-10 us on these small arrays, dwarfing the arithmetic — so the
-        all-miss case (the overwhelming majority: streaming walks evict
-        rather than revisit) is special-cased as a pure column shift,
-        and the general path derives hits from a positional lookup
-        instead of an axis reduction and rotates rows with a single
-        LUT-driven fancy-index gather.
-        """
-        np = _np
-        n = hi1 - lo
-        V = self._ways_arr[lo:hi1]
-        Dv = self._dirty_arr[lo:hi1]
-        if (V[:, -1] == tag).all():
-            # All-hit-at-MRU fast path: a walk leaves its tag MRU in
-            # every set it touches, so an undisturbed re-walk (the
-            # per-tick kernel-text touch) changes no LRU order at all.
-            if write:
-                Dv[:, -1] = True
-            return (n, 0, 0, 0)
-        eq = V == tag
-        victims = V[:, 0]
-        vdirty = Dv[:, 0]
-        if not eq.any():
-            # All-miss fast path: every set evicts its LRU (column 0)
-            # and shifts left; the new tag becomes MRU everywhere.
-            ev_real = victims >= 0
-            n_evict = int(np.count_nonzero(ev_real))
-            ev_real &= vdirty
-            n_wb = int(np.count_nonzero(ev_real))
-            V[:, :-1] = V[:, 1:]
-            V[:, -1] = tag
-            Dv[:, :-1] = Dv[:, 1:]
-            Dv[:, -1] = write
-            return (0, n, n_evict, n_wb)
-        # argmax of an all-False row is 0 — which is exactly the miss
-        # behaviour we want (evict the LRU at position 0), so one argmax
-        # serves both hit rotation and miss shifting.
-        pos = eq.argmax(1)
-        rows = self._rows[:n]
-        hit = eq[rows[:, 0], pos]
-        d_at = Dv[rows[:, 0], pos]
-        # Stats come from the pre-update state: the victim is column 0.
-        ev_real = victims >= 0
-        ev_real &= ~hit
-        n_hits = int(np.count_nonzero(hit))
-        n_evict = int(np.count_nonzero(ev_real))
-        ev_real &= vdirty
-        n_wb = int(np.count_nonzero(ev_real))
-        gather = self._glut[pos]
-        newV = V[rows, gather]
-        newD = Dv[rows, gather]
-        newV[:, -1] = tag
-        if write:
-            newD[:, -1] = True
-        else:
-            newD[:, -1] = hit & d_at
-        self._ways_arr[lo:hi1] = newV
-        self._dirty_arr[lo:hi1] = newD
-        return (n_hits, n - n_hits, n_evict, n_wb)
+    def _pieces(self) -> List[Tuple[int, _Row]]:
+        """``(width, row)`` for every piece, in set order."""
+        ends = self._starts[1:] + [self._set_mask + 1]
+        return [(end - start, row)
+                for start, end, row in zip(self._starts, ends, self._rows)]
 
     # -- inspection ---------------------------------------------------------
 
@@ -518,38 +433,25 @@ class Cache:
         if self._oplog:
             self._drain()
         line = address >> self._line_shift
-        index = line & self._set_mask
-        tag = line >> self._index_bits
-        if self._ways_arr is not None:
-            return bool((self._ways_arr[index] == tag).any())
-        return tag in self._dictsets[index]
+        tags = self._rows[bisect_right(self._starts, line & self._set_mask) - 1][0]
+        return line >> self._index_bits in tags
 
     @property
     def resident_lines(self) -> int:
-        """Lines currently cached across all sets (sentinels excluded)."""
+        """Lines currently cached across all sets."""
         self._sync()
         if self._oplog:
             self._drain()
-        if self._ways_arr is not None:
-            return int((self._ways_arr >= 0).sum())
-        return sum(sum(1 for t in d if t >= 0) for d in self._dictsets)
+        return sum(width * len(tags) for width, (tags, _) in self._pieces())
 
     def flush(self) -> int:
         """Invalidate everything; return the number of dirty lines written back."""
         self._sync()
         if self._oplog:
             self._drain()
-        if self._ways_arr is not None:
-            dirty = int((self._dirty_arr & (self._ways_arr >= 0)).sum())
-            self._ways_arr[:] = _np.arange(-self._ways, 0, dtype=_np.int64)
-            self._dirty_arr[:] = False
-            self._stats.writebacks += dirty
-            return dirty
-        dirty = 0
-        for d in self._dictsets:
-            dirty += sum(1 for t, bit in d.items() if bit and t >= 0)
-            d.clear()
-            d.update(dict.fromkeys(self._sentinels, False))
+        dirty = sum(width * sum(bits) for width, (_, bits) in self._pieces())
+        self._starts = [0]
+        self._rows = [_EMPTY]
         self._stats.writebacks += dirty
         return dirty
 
