@@ -411,8 +411,8 @@ def _fleet_supervision_overhead(population) -> Dict[str, float]:
     dispatcher overhead.
     """
     from repro.evaluation.fleet import FleetConfig, _run_shard
-    from repro.evaluation.parallel import map_unordered
-    from repro.evaluation.supervised import SupervisionPolicy
+    from repro.evaluation.supervised import (SupervisedPool,
+                                             SupervisionPolicy, fork_context)
 
     config = FleetConfig(population=population, shards=FLEET_SHARDS,
                          workers=2)
@@ -421,10 +421,12 @@ def _fleet_supervision_overhead(population) -> Dict[str, float]:
 
     def timed(supervised: bool) -> float:
         start = time.perf_counter()
-        for _ in map_unordered(_run_shard, tasks, workers=2,
-                               supervised=supervised, policy=policy
-                               if supervised else None):
-            pass
+        if supervised:
+            SupervisedPool(_run_shard, 2, policy).run(tasks)
+        else:
+            with fork_context().Pool(2) as pool:
+                for _ in pool.imap_unordered(_run_shard, tasks):
+                    pass
         return time.perf_counter() - start
 
     # Interleaved best-of-3 pairs: frequency scaling and cache warmth

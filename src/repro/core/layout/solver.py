@@ -6,9 +6,12 @@ baseline are provided:
 
 * :class:`BranchAndBoundSolver` — exact, from scratch: depth-first
   search over the per-Offcode placement groups with interval-based
-  constraint propagation and an optimistic objective bound.
+  constraint propagation and an optimistic objective bound.  The
+  resolver's default, so a layout never depends on which packages are
+  installed.
 * :class:`ScipyMilpSolver` — delegates to ``scipy.optimize.milp`` when
-  SciPy is installed (the "any ILP solver" plug-in point).
+  SciPy is installed (the "any ILP solver" plug-in point); callers pass
+  it explicitly.
 * :class:`GreedySolver` — the baseline the paper argues against:
   "simple graphs are usually trivial to solve, while for complex
   scenarios a greedy solution is not always optimal".  It places
@@ -29,7 +32,7 @@ from repro.core.layout.graph import HOST_INDEX
 from repro.core.layout.ilp import EQ, IlpProblem, LE
 
 __all__ = ["SolveResult", "BranchAndBoundSolver", "ScipyMilpSolver",
-           "GreedySolver", "default_solver"]
+           "GreedySolver"]
 
 
 @dataclass
@@ -287,10 +290,3 @@ class GreedySolver:
             placement=problem.assignment_to_placement(values),
             objective=problem.objective_value(values),
             solver=self.name, optimal=False)
-
-
-def default_solver():
-    """SciPy's MILP when present, else the built-in branch and bound."""
-    if ScipyMilpSolver.available():
-        return ScipyMilpSolver()
-    return BranchAndBoundSolver()

@@ -6,10 +6,9 @@ Usage::
     python -m repro.evaluation all --seconds 25
 
 Artifacts: ``fig1``, ``fig9``, ``fig10``, ``table2``, ``table3``,
-``table4``, ``ilp``, ``power``, ``profile``, ``sweeps``, or ``all``.
+``table4``, ``ilp``, ``power``, ``sweeps``, or ``all``.
 Output is the same paper-vs-measured rendering the benchmarks produce;
-``profile`` prints the simulator's hot-loop attribution and ``--workers``
-fans sweep points out over a process pool.
+``--workers`` fans sweep points out over a process pool.
 
 The ``fleet`` artifact is an *operation*, not just a table: it exits
 non-zero (3) when the merged report fails conservation or is degraded
@@ -207,23 +206,6 @@ def _artifact_fleet(seconds: float, seed: int, workers: int = 1,
     return rendered
 
 
-def _artifact_profile(seconds: float, seed: int,
-                      workers: int = 1) -> str:
-    """Hot-loop attribution for a Simple-server TiVoPC run."""
-    from repro.sim.profile import profiled
-    from repro.tivopc.client import MeasurementClient
-    from repro.tivopc.server import SimpleServer
-    from repro.tivopc.testbed import Testbed, TestbedConfig
-
-    testbed = Testbed(TestbedConfig(seed=seed))
-    testbed.start()
-    MeasurementClient(testbed).start()
-    SimpleServer(testbed).start()
-    with profiled(testbed.sim) as profiler:
-        testbed.run(min(seconds, 5.0))
-    return profiler.render()
-
-
 ARTIFACTS: Dict[str, Callable[..., str]] = {
     "fig1": _artifact_fig1,
     "fig9": _artifact_fig9,
@@ -234,7 +216,6 @@ ARTIFACTS: Dict[str, Callable[..., str]] = {
     "fleet": _artifact_fleet,
     "ilp": _artifact_ilp,
     "power": _artifact_power,
-    "profile": _artifact_profile,
     "sweeps": _artifact_sweeps,
 }
 

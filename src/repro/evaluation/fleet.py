@@ -45,6 +45,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -71,10 +72,9 @@ class FleetConfig:
     shards: int = 4
     # None -> one worker per available CPU (affinity-aware).
     workers: Optional[int] = 1
-    # Shards handed to a worker per pickup; 0 -> auto (1, i.e. dynamic
-    # load balancing — shards are coarse enough that batching them would
-    # only re-create stragglers).  Supervised dispatch always picks up
-    # one shard at a time (retry/timeout granularity is the shard).
+    # Deprecated and ignored: supervised dispatch always picks up one
+    # shard at a time (retry/timeout granularity is the shard).  A
+    # non-zero value warns; the field goes in the next release.
     chunksize: int = 0
     # Fault handling for the dispatch layer: retries/backoff, per-shard
     # wall-clock timeout, straggler hedging.
@@ -90,6 +90,11 @@ class FleetConfig:
                 f"({self.population.clients})")
         if self.chunksize < 0:
             raise ReproError(f"chunksize must be >= 0: {self.chunksize}")
+        if self.chunksize:
+            warnings.warn(
+                "FleetConfig.chunksize is ignored (shards are dispatched "
+                "one at a time) and will be removed in the next release",
+                DeprecationWarning, stacklevel=3)
 
 
 def config_fingerprint(config: FleetConfig) -> str:

@@ -9,29 +9,28 @@ sequential one.  Determinism comes from three properties:
 
 1. each worker runs the exact same :func:`repro.evaluation.sweeps._measure`
    code path as the sequential loop, with the same per-point seed;
-2. ``Pool.map`` preserves input order, so results land in the same
+2. results are keyed by task index, so they land in the same
    positions regardless of which worker finished first;
 3. the task list is built before dispatch, in the same order the
    sequential loop would visit it.
 
 ``tests/test_evaluation_parallel.py`` asserts the equality point for
-point.  Workers are ``fork``-context processes (the runner targets the
-POSIX CI hosts); pass ``workers=1`` (the default everywhere) to stay in
-process.
+point.  Workers are the supervised pool's ``fork``-context processes
+(the runner targets the POSIX CI hosts); pass ``workers=1`` (the default
+everywhere) to stay in process.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.evaluation import sweeps as _sweeps
+from repro.evaluation.supervised import SupervisedPool
 from repro.media.mpeg import StreamConfig
 
-__all__ = ["SweepTask", "default_workers", "fork_context",
-           "map_unordered", "run_tasks"]
+__all__ = ["SweepTask", "default_workers", "run_tasks"]
 
 # One unit of work: (scenario, stream, seconds, seed).
 SweepTask = Tuple[str, StreamConfig, float, int]
@@ -53,26 +52,8 @@ def default_workers() -> int:
     return max(1, cpus)
 
 
-def fork_context():
-    """The ``fork`` multiprocessing context, or a clear error without it.
-
-    Every parallel runner here relies on fork inheritance (workers reuse
-    the parent's imported modules; closures over rich configs never
-    pickle).  Requesting the context lazily inside the pool would crash
-    with an opaque ``ValueError`` mid-dispatch on spawn-only platforms —
-    fail up front instead, naming the fix.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError as exc:
-        raise ReproError(
-            "this platform has no 'fork' start method (Windows, or a "
-            "spawn-only build); run with workers=1 instead"
-        ) from exc
-
-
 def _run_task(task: SweepTask):
-    """Module-level worker body (must be picklable for the pool)."""
+    """Module-level worker body for the pool."""
     scenario, stream, seconds, seed = task
     return _sweeps._measure(scenario, stream, seconds, seed)
 
@@ -81,96 +62,27 @@ def run_tasks(tasks: Sequence[SweepTask],
               workers: Optional[int] = 1) -> List:
     """Measure every task; return :class:`SweepPoint` results in order.
 
-    ``workers=1`` (or a single task) runs sequentially in-process;
-    ``workers=None`` uses one process per CPU; any larger value sizes
-    the pool explicitly.  Results are returned in task order and are
-    identical to the sequential runner's whatever the worker count.
+    Dispatch runs through
+    :class:`~repro.evaluation.supervised.SupervisedPool`, so a worker
+    that dies or raises mid-point is retried rather than tearing the
+    sweep down; a point that exhausts its retries raises
+    :class:`ReproError` naming it.  ``workers=1`` (or a single task)
+    runs in-process; ``workers=None`` uses one process per CPU; any
+    larger value sizes the pool explicitly.  Results are returned in
+    task order and are identical to the sequential runner's whatever
+    the worker count.
     """
     tasks = list(tasks)
     if workers is None:
         workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
-    if workers == 1 or len(tasks) <= 1:
-        return [_run_task(task) for task in tasks]
-    # fork context: inherits the loaded modules, so workers skip
-    # re-importing the package and StreamConfig pickles stay tiny.
-    with fork_context().Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(_run_task, tasks)
-
-
-class _ChunkRunner:
-    """Apply ``fn`` to a contiguous chunk of items inside a worker.
-
-    Module-level class (not a closure) so the supervised path's worker
-    body stays importable; fork inheritance hands it to workers without
-    pickling either way.
-    """
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, chunk: Sequence) -> List:
-        return [self.fn(item) for item in chunk]
-
-
-def map_unordered(fn: Callable, items: Sequence, workers: int,
-                  chunksize: int = 1, supervised: bool = True,
-                  policy=None) -> Iterable:
-    """Map ``fn`` over ``items`` on a crash-safe worker pool.
-
-    The fleet runner's dispatch primitive.  By default dispatch runs
-    through :class:`~repro.evaluation.supervised.SupervisedPool`: a
-    worker OOM-killed or wedged mid-item no longer hangs the whole map —
-    the chunk is retried per ``policy`` (a
-    :class:`~repro.evaluation.supervised.SupervisionPolicy`; default:
-    two retries with capped backoff, hedged stragglers) and a chunk that
-    exhausts its retries raises :class:`ReproError` naming it.  Note the
-    supervised path is **not** streaming: it buffers the entire run and
-    only starts yielding (in chunk-completion order) once every chunk
-    has settled, so a quarantine raises before any result is produced.
-    ``supervised=False`` keeps the bare ``Pool.imap_unordered`` path,
-    which does yield each result as its worker finishes and re-raises
-    the worker's own exception — the baseline the supervision-overhead
-    benchmark compares against.
-
-    ``chunksize`` batches items so each worker pickup carries several;
-    retry/timeout granularity under supervision is the chunk.  Callers
-    that need deterministic output must carry an index in the result
-    and reorder — completion order is *not* stable.
-
-    ``workers=1`` runs in-process (no fork, no multiprocessing import
-    path at all), which is what the determinism tests diff against.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1: {chunksize}")
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    if not supervised:
-        with fork_context().Pool(
-                processes=min(workers, len(items))) as pool:
-            for result in pool.imap_unordered(fn, items,
-                                              chunksize=chunksize):
-                yield result
-        return
-    from repro.evaluation.supervised import SupervisedPool
-    chunks = [items[i:i + chunksize]
-              for i in range(0, len(items), chunksize)]
-    pool = SupervisedPool(_ChunkRunner(fn), workers=min(workers,
-                                                        len(chunks)),
-                          policy=policy)
-    results = pool.run(chunks)
+    pool = SupervisedPool(_run_task,
+                          workers=max(1, min(workers, len(tasks))))
+    results = pool.run(tasks)
     if pool.failures:
         raise ReproError(
-            "map_unordered: chunk(s) quarantined after retry "
-            "exhaustion: " + "; ".join(
-                failure.summary()
-                for _, failure in sorted(pool.failures.items())))
-    for chunk_id in pool.completion_order:
-        for result in results[chunk_id]:
-            yield result
+            "sweep task(s) quarantined after retry exhaustion: "
+            + "; ".join(failure.summary()
+                        for _, failure in sorted(pool.failures.items())))
+    return [results[i] for i in range(len(tasks))]

@@ -35,6 +35,7 @@ instead of exiting, so even the kill path is testable without a fork.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,7 +46,25 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
 from repro.errors import ReproError
 
 __all__ = ["SupervisionPolicy", "SupervisionStats", "TaskFailure",
-           "SupervisedPool"]
+           "SupervisedPool", "fork_context"]
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context, or a clear error without it.
+
+    The pool relies on fork inheritance (workers reuse the parent's
+    imported modules; closures over rich configs never pickle).
+    Requesting the context lazily inside the pool would crash with an
+    opaque ``ValueError`` mid-dispatch on spawn-only platforms — fail up
+    front instead, naming the fix.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError as exc:
+        raise ReproError(
+            "this platform has no 'fork' start method (Windows, or a "
+            "spawn-only build); run with workers=1 instead"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -279,7 +298,6 @@ class SupervisedPool:
         return _Slot(process, parent_conn)
 
     def _run_supervised(self, items: Sequence) -> Dict[int, Any]:
-        from repro.evaluation.parallel import fork_context
         ctx = fork_context()
         n = len(items)
         policy = self.policy

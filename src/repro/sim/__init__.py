@@ -11,7 +11,6 @@ Public surface:
 * :class:`~repro.sim.resources.Store`, :class:`~repro.sim.resources.Resource`,
   :class:`~repro.sim.resources.Container`
 * :class:`~repro.sim.rng.RandomStreams`
-* :class:`~repro.sim.profile.SimProfiler` — hot-loop attribution
 """
 
 from repro.sim.engine import (
@@ -24,7 +23,6 @@ from repro.sim.engine import (
     Timeout,
     Timer,
 )
-from repro.sim.profile import SimProfiler, profiled
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
@@ -39,11 +37,9 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Resource",
-    "SimProfiler",
     "Simulator",
     "Store",
     "Timeout",
     "TraceRecord",
     "Tracer",
-    "profiled",
 ]

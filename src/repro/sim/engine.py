@@ -60,8 +60,7 @@ so the per-event costs are engineered away:
   optional stop event, and (for ``step``) a one-entry budget.  The
   loop publishes :attr:`Simulator.events_processed` before each
   entry's user code runs, so the count reads the same from any entry
-  point.  An attached profiler (:meth:`Simulator.attach_profiler`) is
-  a per-entry hook that costs one ``is None`` check when absent.
+  point.
 
 Example
 -------
@@ -693,8 +692,6 @@ class Simulator:
         # Optional telemetry hub (see repro.telemetry.Telemetry); None
         # keeps every instrumented site at a single attribute check.
         self.telemetry = None
-        # Optional hot-loop profiler (see repro.sim.profile.SimProfiler).
-        self._profiler = None
         # Observability counters (cheap ints, always on).
         self.events_processed = 0
         self.fused_resumes = 0     # events dispatched via the fused fast path
@@ -722,20 +719,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have succeeded."""
         return AllOf(self, events)
-
-    # -- profiling -------------------------------------------------------
-
-    def attach_profiler(self, profiler) -> None:
-        """Install a :class:`repro.sim.profile.SimProfiler` on the loop.
-
-        The loop reads the profiler when it starts, so attaching or
-        detaching takes effect at the next ``run``/``step`` call.
-        """
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        """Remove the profiler (the loop reverts to one check per event)."""
-        self._profiler = None
 
     # -- queue: inserts ----------------------------------------------------
 
@@ -1032,7 +1015,6 @@ class Simulator:
         # sim._active_process only matters to telemetry span attribution;
         # skip the per-event stores when no hub is attached.
         telem = self.telemetry is not None
-        profiler = self._profiler
         now = self.now
         processed = first = self.events_processed
         last = processed + 1 if once else _NO_BUDGET
@@ -1071,8 +1053,6 @@ class Simulator:
                     self.now = now = when
                     self.events_processed = processed = processed + 1
                     seq = entry[2]
-                    if profiler is not None:
-                        profiler.observe(obj, seq)
                     if obj._cont_seq == seq:
                         # Fused sleep: resume the generator directly, and
                         # if it immediately sleeps again, fuse again
@@ -1133,6 +1113,4 @@ class Simulator:
             self.fused_resumes += fused
             if telem:
                 self._active_process = None
-            if profiler is not None:
-                profiler.observe(None)
         return processed > first

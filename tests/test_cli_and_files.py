@@ -100,7 +100,7 @@ def test_cli_rejects_unknown_artifact():
 def test_cli_artifact_registry_complete():
     assert set(ARTIFACTS) == {"fig1", "fig9", "fig10", "table2",
                               "table3", "table4", "fleet", "ilp",
-                              "power", "profile", "sweeps"}
+                              "power", "sweeps"}
 
 
 def test_cli_fleet(capsys):

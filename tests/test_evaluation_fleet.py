@@ -60,6 +60,14 @@ def test_fleet_config_validation():
         FleetConfig(shards=0)
 
 
+def test_fleet_config_chunksize_is_deprecated():
+    with pytest.warns(DeprecationWarning, match="chunksize"):
+        config = FleetConfig(chunksize=2)
+    assert config.chunksize == 2
+    with pytest.raises(ReproError):
+        FleetConfig(chunksize=-1)
+
+
 def test_lpt_makespan():
     assert lpt_makespan([4.0, 3.0, 2.0, 1.0], 2) == 5.0
     assert lpt_makespan([1.0] * 8, 4) == 2.0

@@ -85,8 +85,8 @@ def test_sequential_path_never_imports_a_process(monkeypatch):
     def explode(*args, **kwargs):
         raise AssertionError("workers=1 must stay in-process")
     monkeypatch.setattr(multiprocessing, "get_context", explode)
-    import repro.evaluation.parallel as parallel
-    monkeypatch.setattr(parallel, "fork_context", explode)
+    import repro.evaluation.supervised as supervised
+    monkeypatch.setattr(supervised, "fork_context", explode)
     pool = SupervisedPool(_double, workers=1, policy=_FAST)
     assert pool.run([1, 2, 3]) == {0: 2, 1: 4, 2: 6}
 

@@ -3,12 +3,12 @@
 The timer-wheel queue replaced the binary heap as a pure *mechanical*
 change: both implementations must pop in the identical ``(time,
 priority, seq)`` order, so every seeded run computes byte-identical
-results whichever queue is underneath.  Likewise ``run``, ``step``,
-``run_until_event`` and a profiled ``run`` drive one dispatch loop, so
-they must compute the same run.  These tests pin those properties:
+results whichever queue is underneath.  Likewise ``run``, ``step`` and
+``run_until_event`` drive one dispatch loop, so they must compute the
+same run.  These tests pin those properties:
 
 * the TiVoPC pipeline, diffing whole :class:`Tracer` buffers record for
-  record, across both queues and all four entry points;
+  record, across both queues and all three entry points;
 * the chaos harness across seeds 0..9 (fault injection, watchdogs,
   recovery — the densest timer workload in the repo), diffing
   order-sensitive run fingerprints;
@@ -26,13 +26,13 @@ from repro.faults.chaos import ChaosProfile, run_chaos_scenario
 from repro.hw import Machine
 from repro.rdma.filter import run_filter_scenario
 from repro.rdma.kv import run_kv_scenario
-from repro.sim import Simulator, Tracer, profiled
+from repro.sim import Simulator, Tracer
 from repro.tivopc.client import MeasurementClient
 from repro.tivopc.server import SimpleServer
 from repro.tivopc.testbed import Testbed, TestbedConfig
 
 _SIM_SECONDS = 0.3
-_ENTRY_POINTS = ("run", "step", "run_until_event", "profiled")
+_ENTRY_POINTS = ("run", "step", "run_until_event")
 
 
 def _horizon_marker(sim, horizon):
@@ -58,12 +58,8 @@ def _traced_tivopc_run(scheduler: str, seed: int, entry: str = "run"):
     elif entry == "step":
         while sim.peek() <= horizon:
             sim.step()
-    elif entry == "run_until_event":
-        sim.run_until_event(marker)
     else:
-        with profiled(sim) as profiler:
-            sim.run(until=horizon)
-        assert profiler.total.events == sim.events_processed
+        sim.run_until_event(marker)
     return list(sim.tracer.records), sim, client
 
 
